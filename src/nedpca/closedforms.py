@@ -15,16 +15,32 @@ counting expansion
 over the index pairs (M,N) and weighted compositions x enumerated below; the
 site density is the same sum without the n/k prefactor, divided by Z. Both
 sums are evaluated here in float or exact rational arithmetic.
+
+The term structure depends only on (n, m), so it is compiled once per shape
+into a table of monomials p1^k (1-p1)^e p2^(-N), e = M + (m-1)N: terms that
+share the key (k, e, N) are merged by adding their exact integer
+multiplicities and occupied multiplicities. `weight_terms` stays the
+reference enumerator the table is built from. A float evaluation is one
+matrix-vector product of the exponent array with (log p1, log(1-p1), -log p2),
+one exponential and two compensated sums, giving Z - 1 and the density
+numerator together; an exact evaluation sums the merged monomials in
+fractions. Tables are cached for the TABLE_CACHE_SIZE most recently used
+(n, m) shapes, and nothing is built at import. The bound must stay at least
+49: acceptance criterion 06 evaluates n = 2..50 at m = 2 for each grid point
+in turn, and a smaller cache would evict every table before its next use.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import BudgetExceeded, ParamError
+import numpy as np
+
+from .errors import BudgetExceeded, NedpcaError, ParamError
 from .model import ConfigLike, ModelParams, count_patterns
 from .solver import FLOAT_CAP, StationaryTable
 
@@ -44,6 +60,9 @@ __all__ = [
 
 # Exact-rational evaluation is meant for algebra verification at small n.
 RATIONAL_CAP = 12
+
+# (n, m) term tables kept; see the module docstring for why it is at least 49.
+TABLE_CACHE_SIZE = 64
 
 Real = Union[float, Fraction]
 
@@ -221,7 +240,8 @@ def weight_terms(params: ModelParams) -> Iterator[WeightTerm]:
                     continue
                 total = n * occ
                 # the class count (n/k) * multinomial * binom is always integral
-                assert total % k == 0, (n, m, k, big_m, big_n, x)
+                if total % k != 0:
+                    raise NedpcaError(str((n, m, k, big_m, big_n, x)))
                 yield WeightTerm(
                     k=k,
                     M=big_m,
@@ -235,25 +255,56 @@ def weight_terms(params: ModelParams) -> Iterator[WeightTerm]:
 # ---- Partition function and density ----
 
 
-def _sum_terms(params: ModelParams, occupied_only: bool) -> Real:
+@dataclass(frozen=True)
+class _TermTable:
+    """The partition sum of one (n, m), merged by monomial key (k, e, N).
+
+    exact holds (k, e, N, multiplicity, occupied multiplicity) in integers;
+    exponents and log_counts are the same rows as read-only float arrays.
+    """
+
+    exact: tuple[tuple[int, int, int, int, int], ...]
+    exponents: np.ndarray  # (r, 3): k, e, N
+    log_counts: np.ndarray  # (r, 2): log multiplicity, log occupied multiplicity
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _term_table(n: int, m: int) -> _TermTable:
+    merged: dict[tuple[int, int, int], list[int]] = {}
+    # the enumeration reads only n and m; the probabilities are placeholders
+    for t in weight_terms(ModelParams(n, m, 0.5, 0.5)):
+        counts = merged.setdefault((t.k, t.one_minus_p1_exponent, t.N), [0, 0])
+        counts[0] += t.multiplicity
+        counts[1] += t.occupied_multiplicity
+    exact = tuple(key + (mult, occ) for key, (mult, occ) in merged.items())
+    exponents = np.array([row[:3] for row in exact], dtype=float)
+    # weight_terms drops classes with no occupied count, so both logs are finite
+    log_counts = np.array([(math.log(row[3]), math.log(row[4])) for row in exact])
+    exponents.setflags(write=False)
+    log_counts.setflags(write=False)
+    return _TermTable(exact=exact, exponents=exponents, log_counts=log_counts)
+
+
+def _sums(params: ModelParams) -> tuple[Real, Real]:
+    """Z and the density numerator (configurations with site 1 occupied)."""
+    _check_rational_cap(params)
+    table = _term_table(params.n, params.m)
     p1, p2 = params.p1, params.p2
     if params.exact:
-        acc = Fraction(0)
-        for t in weight_terms(params):
-            mult = t.occupied_multiplicity if occupied_only else t.multiplicity
-            acc += mult * p1 ** t.k * (1 - p1) ** t.one_minus_p1_exponent * p2 ** (-t.N)
-        return acc
+        z = occupied = Fraction(0)
+        for k, e, big_n, mult, occ in table.exact:
+            w = p1 ** k * (1 - p1) ** e * p2 ** (-big_n)
+            z += mult * w
+            occupied += occ * w
+        return 1 + z, occupied
     # exponent-and-log form keeps huge multiplicities away from overflow
-    ln_p1 = math.log(p1)
-    ln_q = math.log1p(-p1)
-    ln_p2 = math.log(p2)
-    terms = []
-    for t in weight_terms(params):
-        mult = t.occupied_multiplicity if occupied_only else t.multiplicity
-        terms.append(
-            math.exp(math.log(mult) + t.k * ln_p1 + t.one_minus_p1_exponent * ln_q - t.N * ln_p2)
-        )
-    return math.fsum(terms)
+    log_weights = table.exponents @ np.array([math.log(p1), math.log1p(-p1), -math.log(p2)])
+    try:
+        with np.errstate(over="raise"):
+            terms = np.exp(table.log_counts + log_weights[:, None])
+    except FloatingPointError as exc:
+        raise OverflowError("math range error") from exc
+    return 1 + math.fsum(terms[:, 0]), math.fsum(terms[:, 1])
 
 
 def _check_rational_cap(params: ModelParams) -> None:
@@ -269,8 +320,7 @@ def partition_formula(params: ModelParams) -> Real:
     Float parameters give a compensated floating sum; exact fractions give the
     exact rational value (n capped at RATIONAL_CAP in that mode).
     """
-    _check_rational_cap(params)
-    return 1 + _sum_terms(params, occupied_only=False)
+    return _sums(params)[0]
 
 
 def density_formula(params: ModelParams) -> Real:
@@ -280,5 +330,5 @@ def density_formula(params: ModelParams) -> Real:
     with site 1 occupied (no n/k prefactor), divided by Z. By rotation
     invariance this equals the mean occupied fraction.
     """
-    _check_rational_cap(params)
-    return _sum_terms(params, occupied_only=True) / partition_formula(params)
+    z, occupied = _sums(params)
+    return occupied / z

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .closedforms import partition_formula
-from .errors import BudgetExceeded, DegenerateDenominator, DomainError, ParamError
+from .errors import BudgetExceeded, DegenerateDenominator, DomainError, NedpcaError, ParamError
 from .model import ModelParams
 
 __all__ = [
@@ -226,6 +226,8 @@ def pole_data(p1: float, p2: float) -> PoleData:
     Raises:
         DegenerateDenominator: on the line p1 + p2 = 1 (q2 = 1), where the
             denominator is linear and has a single root 1/(1+p1).
+        NedpcaError: if a root leaves a residual above 1e-12 of the largest
+            denominator term; the message is (x, p1, p2).
     """
     p1, p2 = _validate(p1, p2)
     if _on_removable_line(p1, p2):
@@ -243,7 +245,8 @@ def pole_data(p1: float, p2: float) -> PoleData:
     for x in (x_plus, x_minus):
         # residual relative to the largest term; x_minus diverges as q2 -> 1
         scale = max(1.0, abs(p2 * (1.0 + p1) * x), abs(p1 * (1.0 - p1 - p2) * x * x))
-        assert abs(gf_denominator(x, p1, p2)) < 1e-12 * scale, (x, p1, p2)
+        if not abs(gf_denominator(x, p1, p2)) < 1e-12 * scale:
+            raise NedpcaError(str((x, p1, p2)))
     return PoleData(x_plus=x_plus, x_minus=x_minus, q2=q2)
 
 

@@ -15,7 +15,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, DomainError, ParamError, SolveFailed
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    DomainError,
+    NedpcaError,
+    ParamError,
+    SolveFailed,
+)
 from .model import (
     ConfigLike,
     Configuration,
@@ -331,13 +338,14 @@ def _m2_weight(conf: Configuration, params: ModelParams):
 def reversibility_ratio(alpha: ConfigLike, beta: ConfigLike, params: ModelParams) -> float:
     """The ratio pi(a)P[a->b] / (pi(b)P[b->a]) for the nearest-neighbour model.
 
-    Computed two ways and cross-asserted: directly from the product-form
+    Computed two ways and cross-checked: directly from the product-form
     weights and the transition law, and through the closed form
     (p1 p2 / ((1-p1)(1-p2))) ** (|Pos10,01| - |Pos01,10|) built from
     position-set intersections. Defined for m=2 only.
 
     Raises:
         DomainError: if m != 2 or the reverse transition has probability 0.
+        NedpcaError: if the two paths disagree beyond 1e-12 relative.
     """
     if params.m != 2:
         raise DomainError("reversibility_ratio is defined for m=2 only")
@@ -360,9 +368,8 @@ def reversibility_ratio(alpha: ConfigLike, beta: ConfigLike, params: ModelParams
     else:
         closed = (p1 * p2 / ((1.0 - p1) * (1.0 - p2))) ** d
     tol = 1e-12 * max(abs(direct), abs(closed), 1.0)
-    assert abs(direct - closed) <= tol, (
-        f"ratio paths disagree: direct={direct!r} closed={closed!r} exponent={d}"
-    )
+    if not abs(direct - closed) <= tol:
+        raise NedpcaError(f"ratio paths disagree: direct={direct!r} closed={closed!r} exponent={d}")
     return direct
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nedpca import closedforms
 from nedpca import (
     BudgetExceeded,
     ModelParams,
@@ -146,14 +147,60 @@ class TestPartitionFormula:
         )
         assert partition_formula(params) == pytest.approx(brute, rel=1e-12)
 
-    def test_exact_equals_brute_force_sum(self):
-        params = ModelParams(5, 3, Fraction(1, 3), Fraction(1, 2))
-        brute = sum(stationary_weight(code, params) for code in range(params.n_states))
+    @pytest.mark.parametrize(
+        "n, m",
+        [(m + extra, m) for m in range(2, 7) for extra in range(4)],
+        ids=str,
+    )
+    def test_exact_equals_brute_force_sum(self, n, m):
+        # m >= 4 merges distinct composition classes into one monomial
+        params = ModelParams(n, m, Fraction(1, 3), Fraction(1, 2))
+        weights = [stationary_weight(code, params) for code in range(params.n_states)]
+        brute = sum(weights)
         assert partition_formula(params) == brute
+        assert density_formula(params) == sum(weights[1::2]) / brute  # odd codes occupy site 1
 
     def test_rational_cap(self):
         with pytest.raises(BudgetExceeded):
             partition_formula(ModelParams(13, 2, Fraction(1, 3), Fraction(1, 2)))
+
+    def test_overflow_raises(self):
+        # p2^-N overflows a float; the sums must not come back as inf
+        params = ModelParams(6, 2, 0.5, 1e-300)
+        with pytest.raises(OverflowError):
+            partition_formula(params)
+        with pytest.raises(OverflowError):
+            density_formula(params)
+
+
+class TestTermTable:
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        """The (n, m) of each weight_terms call, on a fresh table cache."""
+        calls = []
+
+        def counting(params):
+            calls.append((params.n, params.m))
+            return weight_terms(params)
+
+        monkeypatch.setattr(closedforms, "weight_terms", counting)
+        closedforms._term_table.cache_clear()
+        yield calls
+        closedforms._term_table.cache_clear()
+
+    def test_one_enumeration_per_shape(self, enumerations):
+        for i in range(25):
+            params = ModelParams(9, 3, 0.05 + 0.035 * i, 1.0 - 0.03 * i)
+            partition_formula(params)
+            density_formula(params)
+        assert enumerations == [(9, 3)]
+
+    def test_cache_holds_a_criterion_06_sweep(self, enumerations):
+        # criterion 06 evaluates n = 2..50 at m = 2 for each grid point in turn
+        for p1, p2 in ((0.3, 0.5), (0.6, 0.2)):
+            for n in range(2, 51):
+                partition_formula(ModelParams(n, 2, p1, p2))
+        assert enumerations == [(n, 2) for n in range(2, 51)]
 
 
 class TestDensityFormula:
