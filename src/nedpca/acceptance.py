@@ -48,10 +48,10 @@ from .m2 import (
     z2_recurrence,
     z2_series,
 )
-from .model import ModelParams, count_patterns, scalar_step, window_masks
+from .model import ModelParams
 from .montecarlo import (
     SimulationPlan,
-    _pack_thresholds,
+    _advance,
     kernel_throughput,
     run,
     tv_distance,
@@ -353,26 +353,18 @@ def criterion_10(reduced: bool = False) -> CheckResult:
     mismatch = None
     for n in (8, 16, 64):
         params = ModelParams(n, 3, 0.3, 0.5)
-        p1, r2 = 0.3, 0.5
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(MC_SEED)))
         code_s = code_b = 0
-        row_bytes = (n + 7) // 8
         done = 0
         while done < steps and mismatch is None:
-            chunk = min(512, steps - done)
-            u = rng.random((chunk, n))
-            d1, d2 = _pack_thresholds(u, p1, r2)
-            for t in range(chunk):
-                code_s = scalar_step(code_s, params, u[t])
-                om, bm = window_masks(code_b, params)
-                lo, hi = t * row_bytes, (t + 1) * row_bytes
-                code_b = (om & int.from_bytes(d1[lo:hi], "little")) | (
-                    bm & int.from_bytes(d2[lo:hi], "little")
-                )
-                if code_s != code_b:
-                    mismatch = (n, done + t)
-                    break
-            done += chunk
+            u = rng.random((min(512, steps - done), n))
+            traj_s = _advance(code_s, params, u, "scalar")
+            traj_b = _advance(code_b, params, u, "bitparallel")
+            diffs = [t for t, (a, b) in enumerate(zip(traj_s, traj_b)) if a != b]
+            if diffs:
+                mismatch = (n, done + diffs[0])
+            code_s, code_b = traj_s[-1], traj_b[-1]
+            done += len(u)
 
     runs = [
         run(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -25,7 +26,7 @@ from typing import Optional
 
 from . import m2 as m2mod
 from .closedforms import density_formula, partition_formula, stationary_table_formula
-from .errors import BudgetExceeded, DegenerateDenominator, NedpcaError, ParamError
+from .errors import BudgetExceeded, DegenerateDenominator, DomainError, NedpcaError, ParamError
 from .model import Configuration, ModelParams
 from .montecarlo import SimulationPlan, run as run_simulation, tv_distance
 from .solver import (
@@ -243,7 +244,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ("kernel", str, "bitparallel"),
             ("histogram", _parse_bool, None),
             ("trace", str, None),
-            ("threads", int, None),
             ("tv", _parse_bool, False),
         ],
     )
@@ -260,7 +260,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         kernel=ns.kernel,
         histogram=ns.histogram,
         trace_path=ns.trace,
-        threads=ns.threads,
     )
     summary = run_simulation(plan)
     payload = summary.to_json_dict()
@@ -302,6 +301,9 @@ def cmd_m2(args: argparse.Namespace) -> int:
 
     if ns.series is not None:
         zs = m2mod.z2_recurrence(ns.series, p1, p2)
+        bad = [n for n, z in enumerate(zs) if not math.isfinite(z)]
+        if bad:
+            raise DomainError(f"Z_{bad[0]} overflows a float at p1={p1!r}, p2={p2!r}")
         text = "n,Z\n" + "\n".join(f"{n},{z!r}" for n, z in enumerate(zs))
         _emit(text, args.out)
         return 0
@@ -401,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force state histogram on/off",
     )
     p_sim.add_argument("--trace", metavar="FILE", help="write sampled configurations here")
-    p_sim.add_argument("--threads", type=int)
     p_sim.add_argument(
         "--tv", action="store_true", default=None,
         help="add total variation distance to the exact stationary law",

@@ -4,13 +4,19 @@ Both kernels consume exactly one uniform per site per step (the draw is
 discarded at forced sites), in site order, so a scalar and a bit-parallel run
 with the same seed produce bit-identical trajectories. The bit-parallel
 kernel packs each step's n threshold comparisons into machine integers with
-np.packbits and updates all sites with a handful of word operations.
+np.packbits and updates all sites with a handful of word operations; _advance
+is the one routine that steps either kernel.
 
-Per-chain streams come from numpy's SeedSequence.spawn, so results are
-reproducible for a fixed (seed, chains, kernel-independent) plan and chains
-never share a stream. All accumulators are integers until the final division,
-which makes merged results independent of chain scheduling order. The one
-field outside the determinism guarantee is steps_per_second.
+Per-chain streams come from numpy's SeedSequence.spawn, so chains never share
+a stream. Each chain draws its uniforms in chunks of at most _CHUNK_DOUBLES
+doubles (1 MiB), whatever the ring size; Philox hands out its doubles in
+order whatever the chunk shape, so chunking cannot change a draw. Rings
+longer than two 64-bit words run one worker thread per chain, up to the
+usable cores: there the Philox fill and np.packbits, which release the GIL,
+dominate a step, while on shorter rings a second worker measured no faster.
+All accumulators are integers until the final division, so a fixed plan
+gives the same summary whatever the kernel, worker count and chunking. The
+one field outside that guarantee is steps_per_second.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +52,12 @@ HISTOGRAM_AUTO_LIMIT = 65_536  # state count above which histograms default off
 HISTOGRAM_CAP = 1 << 20  # hard ceiling even when explicitly requested
 TRACE_CAP = 100_000  # max trace lines written per run
 _NUM_BATCHES = 32  # batches per chain for the batch-means error bar
-_CHUNK = 4096  # steps of uniforms drawn per packbits call
+_CHUNK_DOUBLES = 1 << 17  # uniforms per draw (1 MiB): a chunk is max(1, this // n) steps
+# Smallest ring that runs one worker per chain: more than two 64-bit words.
+# Steps/s of two chains on 2 workers against 1 (2 vCPUs, Python 3.11.7,
+# median of 5-7 runs): n = 64 0.82-0.90x, 128 1.01x, 160-192 0.96-1.04x,
+# 256 1.08-1.16x, 512 1.21x, 1024 1.41-1.44x.
+_PARALLEL_MIN_N = 129
 
 _KERNELS = ("bitparallel", "scalar")
 
@@ -58,8 +70,12 @@ class SimulationPlan:
     burn_in + samples * thin steps in each chain. start accepts a
     configuration (Configuration, int code, or site-1-leftmost string) or the
     shorthands "zeros" / "ones". histogram=None enables state counting
-    automatically for state spaces up to HISTOGRAM_AUTO_LIMIT. threads=None
-    reads NEDPCA_THREADS from the environment, defaulting to 1.
+    automatically for state spaces up to HISTOGRAM_AUTO_LIMIT.
+
+    The plan fixes the summary, not how it is computed: run() draws each
+    chain's uniforms in chunks of _CHUNK_DOUBLES doubles and runs chains on
+    one worker per chain (up to the usable cores) when n >= _PARALLEL_MIN_N,
+    where the GIL-free draws dominate a step, and on one worker otherwise.
     """
 
     params: ModelParams
@@ -72,7 +88,6 @@ class SimulationPlan:
     kernel: str = "bitparallel"
     histogram: Optional[bool] = None
     trace_path: Optional[str] = None
-    threads: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -91,8 +106,6 @@ class SimulationPlan:
             raise BudgetExceeded(
                 f"histogram over {self.params.n_states} states exceeds cap {HISTOGRAM_CAP}"
             )
-        if self.threads is not None and (not isinstance(self.threads, int) or self.threads < 1):
-            raise ParamError(f"threads must be a positive int, got {self.threads!r}")
         self.start_code  # validate eagerly
 
     @property
@@ -108,13 +121,6 @@ class SimulationPlan:
         if self.histogram is None:
             return self.params.n_states <= HISTOGRAM_AUTO_LIMIT
         return self.histogram
-
-    @property
-    def resolved_threads(self) -> int:
-        if self.threads is not None:
-            return self.threads
-        env = os.environ.get("NEDPCA_THREADS", "")
-        return int(env) if env.isdigit() and int(env) >= 1 else 1
 
 
 @dataclass(frozen=True)
@@ -178,14 +184,46 @@ def _pack_thresholds(u: np.ndarray, p1: float, r2: float) -> tuple[bytes, bytes]
     return d1, d2
 
 
+def _advance(code: int, params: ModelParams, u: np.ndarray, kernel: str) -> list[int]:
+    """Step once per row of u from code; return the code after every step."""
+    trajectory = []
+    if kernel == "scalar":
+        for row in u:
+            code = scalar_step(code, params, row)
+            trajectory.append(code)
+        return trajectory
+    d1, d2 = _pack_thresholds(u, float(params.p1), 1.0 - float(params.p2))
+    row_bytes = (params.n + 7) // 8
+    for lo in range(0, len(d1), row_bytes):
+        open_mask, blocked_mask = window_masks(code, params)
+        hi = lo + row_bytes
+        code = (open_mask & int.from_bytes(d1[lo:hi], "little")) | (
+            blocked_mask & int.from_bytes(d2[lo:hi], "little")
+        )
+        trajectory.append(code)
+    return trajectory
+
+
 def bitparallel_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
     """One synchronous update using word-level operations; u has one uniform per site."""
-    arr = np.asarray(u, dtype=float).reshape(1, params.n)
-    d1, d2 = _pack_thresholds(arr, float(params.p1), 1.0 - float(params.p2))
-    open_mask, blocked_mask = window_masks(code, params)
-    draw1 = int.from_bytes(d1, "little")
-    draw2 = int.from_bytes(d2, "little")
-    return (open_mask & draw1) | (blocked_mask & draw2)
+    rows = np.asarray(u, dtype=float).reshape(1, params.n)
+    return _advance(code, params, rows, "bitparallel")[0]
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pattern_sums(weighted_codes, params: ModelParams) -> list[int]:
+    """[n1, *n10r1, n0m1] summed over (code, multiplicity) pairs."""
+    sums = [0] * params.m
+    for code, c in weighted_codes:
+        pc = count_patterns(code, params)
+        for i, x in enumerate((pc.n1, *pc.n10r1, pc.n0m1)):
+            sums[i] += c * x
+    return sums
 
 
 @dataclass
@@ -193,71 +231,52 @@ class _ChainResult:
     batch_ones: list
     batch_sizes: list
     histogram: Optional[np.ndarray]
-    pattern_totals: Optional[tuple]  # (n1, tuple(n10r1), n0m1) when histogram is off
+    pattern_sums: list  # as _pattern_sums; left at zero when the histogram is on
     trace: Optional[list]
-    steps: int = 0
 
 
-def _run_chain(plan: SimulationPlan, chain_index: int, child_seed) -> _ChainResult:
+def _run_chain(
+    plan: SimulationPlan, chain_index: int, child_seed, stop: threading.Event
+) -> _ChainResult:
     params = plan.params
     n = params.n
-    p1, r2 = float(params.p1), 1.0 - float(params.p2)
     rng = np.random.Generator(np.random.Philox(child_seed))
-    scalar = plan.kernel == "scalar"
-    row_bytes = (n + 7) // 8
-
-    code = plan.start_code
-    hist = np.zeros(params.n_states, dtype=np.int64) if plan.histogram_enabled else None
+    rows = max(1, _CHUNK_DOUBLES // n)
+    codes = [] if plan.histogram_enabled else None
     batch_ones = [0] * _NUM_BATCHES
     batch_sizes = [0] * _NUM_BATCHES
-    pat1 = 0
-    pat_inner = [0] * (params.m - 2)
-    pat_blocked = 0
-    count_directly = hist is None and plan.samples > 0
+    pattern_sums = [0] * params.m
     trace = [] if plan.trace_path and chain_index == 0 else None
 
     total_steps = plan.burn_in + plan.samples * plan.thin
+    first = plan.burn_in + plan.thin - 1  # the first retained step
+    code = plan.start_code
     done = 0
     retained = 0
-    codes = [] if hist is not None else None
-    while done < total_steps:
-        chunk = min(_CHUNK, total_steps - done)
-        u = rng.random((chunk, n))
-        if scalar:
-            rows = u
-        else:
-            d1, d2 = _pack_thresholds(u, p1, r2)
-        for t in range(chunk):
-            if scalar:
-                code = scalar_step(code, params, rows[t])
-            else:
-                open_mask, blocked_mask = window_masks(code, params)
-                lo, hi = t * row_bytes, (t + 1) * row_bytes
-                code = (open_mask & int.from_bytes(d1[lo:hi], "little")) | (
-                    blocked_mask & int.from_bytes(d2[lo:hi], "little")
-                )
-            step = done + t
-            if step < plan.burn_in or (step - plan.burn_in) % plan.thin != plan.thin - 1:
-                continue
+    # the stop flag lets run() abandon this chain between chunks
+    while done < total_steps and not stop.is_set():
+        u = rng.random((min(rows, total_steps - done), n))
+        trajectory = _advance(code, params, u, plan.kernel)
+        code = trajectory[-1]
+        kept = trajectory[max(first - done, (first - done) % plan.thin) :: plan.thin]
+        done += len(trajectory)
+        for c in kept:
             b = retained * _NUM_BATCHES // plan.samples
-            batch_ones[b] += code.bit_count()
+            batch_ones[b] += c.bit_count()
             batch_sizes[b] += 1
             retained += 1
-            if codes is not None:
-                codes.append(code)
-            if count_directly:
-                pc = count_patterns(code, params)
-                pat1 += pc.n1
-                for r, c in enumerate(pc.n10r1):
-                    pat_inner[r] += c
-                pat_blocked += pc.n0m1
-            if trace is not None and len(trace) < TRACE_CAP:
-                trace.append(Configuration(code, n).to_string())
-        done += chunk
-    if codes is not None and codes:
+        if codes is not None:
+            codes.extend(kept)
+        else:
+            chunk_sums = _pattern_sums(((c, 1) for c in kept), params)
+            pattern_sums = [a + b for a, b in zip(pattern_sums, chunk_sums)]
+        if trace is not None:
+            trace.extend(Configuration(c, n).to_string() for c in kept[: TRACE_CAP - len(trace)])
+    hist = None
+    if codes is not None:
+        hist = np.zeros(params.n_states, dtype=np.int64)
         np.add.at(hist, np.asarray(codes, dtype=np.int64), 1)
-    totals = None if not count_directly else (pat1, tuple(pat_inner), pat_blocked)
-    return _ChainResult(batch_ones, batch_sizes, hist, totals, trace, total_steps)
+    return _ChainResult(batch_ones, batch_sizes, hist, pattern_sums, trace)
 
 
 def run(plan: SimulationPlan) -> EmpiricalSummary:
@@ -265,74 +284,54 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     params = plan.params
     n = params.n
     children = np.random.SeedSequence(plan.seed).spawn(plan.chains)
-    t0 = time.perf_counter()
-    if plan.resolved_threads > 1 and plan.chains > 1:
-        with ThreadPoolExecutor(max_workers=plan.resolved_threads) as pool:
-            futures = [pool.submit(_run_chain, plan, i, c) for i, c in enumerate(children)]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_chain(plan, i, c) for i, c in enumerate(children)]
-    elapsed = time.perf_counter() - t0
+    workers = min(plan.chains, _usable_cores()) if n >= _PARALLEL_MIN_N else 1
+    stop = threading.Event()
 
-    total_samples = plan.samples * plan.chains
-    total_steps = sum(r.steps for r in results)
+    def chain(i: int, child) -> _ChainResult:
+        try:
+            return _run_chain(plan, i, child, stop)
+        except BaseException:
+            stop.set()
+            raise
+
+    t0 = time.perf_counter()
+    # leaving the pool joins its workers, so a failure or an interrupt must
+    # stop the other chains first
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        try:
+            results = list(pool.map(chain, range(plan.chains), children))
+        except BaseException:
+            stop.set()
+            raise
+    elapsed = time.perf_counter() - t0
+    total_steps = plan.chains * (plan.burn_in + plan.samples * plan.thin)
     steps_per_second = total_steps / elapsed if elapsed > 0 else float("inf")
 
-    hist = None
-    if plan.histogram_enabled:
-        hist = np.zeros(params.n_states, dtype=np.int64)
-        for r in results:
-            hist += r.histogram
-
-    all_means = []
-    total_ones = 0
-    for r in results:
-        total_ones += sum(r.batch_ones)
-        for ones, size in zip(r.batch_ones, r.batch_sizes):
-            if size > 0:
-                all_means.append(ones / (size * n))
-    if total_samples > 0:
-        density_mean = total_ones / (total_samples * n)
-    else:
-        density_mean = float("nan")
-    if len(all_means) >= 2:
-        arr = np.asarray(all_means)
-        density_stderr = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-    else:
-        density_stderr = float("nan")
-
+    total_samples = plan.samples * plan.chains
+    denom = total_samples * n
     nan = float("nan")
-    pattern_means = {"n1": nan, "n10r1": tuple([nan] * (params.m - 2)), "n0m1": nan}
-    if total_samples > 0:
-        if hist is not None:
-            pat1 = 0
-            pat_inner = [0] * (params.m - 2)
-            pat_blocked = 0
-            for code in np.flatnonzero(hist):
-                c = int(hist[code])
-                pc = count_patterns(int(code), params)
-                pat1 += c * pc.n1
-                for r, cnt in enumerate(pc.n10r1):
-                    pat_inner[r] += c * cnt
-                pat_blocked += c * pc.n0m1
-        else:
-            pat1 = sum(r.pattern_totals[0] for r in results)
-            pat_inner = [
-                sum(r.pattern_totals[1][i] for r in results) for i in range(params.m - 2)
-            ]
-            pat_blocked = sum(r.pattern_totals[2] for r in results)
-        denom = total_samples * n
-        pattern_means = {
-            "n1": pat1 / denom,
-            "n10r1": tuple(x / denom for x in pat_inner),
-            "n0m1": pat_blocked / denom,
-        }
+    density_mean = sum(sum(r.batch_ones) for r in results) / denom if denom else nan
+    batch_means = [
+        ones / (size * n)
+        for r in results
+        for ones, size in zip(r.batch_ones, r.batch_sizes)
+        if size
+    ]
+    density_stderr = nan
+    if len(batch_means) >= 2:
+        density_stderr = float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
 
-    if plan.trace_path is not None and results[0].trace is not None:
+    hist = sum(r.histogram for r in results) if plan.histogram_enabled else None
+    if hist is not None:
+        sums = _pattern_sums(((int(c), int(hist[c])) for c in np.flatnonzero(hist)), params)
+    else:
+        sums = [sum(col) for col in zip(*(r.pattern_sums for r in results))]
+    means = [x / denom if denom else nan for x in sums]
+    pattern_means = {"n1": means[0], "n10r1": tuple(means[1:-1]), "n0m1": means[-1]}
+
+    if results[0].trace is not None:
         with open(plan.trace_path, "w") as fh:
-            fh.write("\n".join(results[0].trace))
-            if results[0].trace:
-                fh.write("\n")
+            fh.writelines(line + "\n" for line in results[0].trace)
 
     return EmpiricalSummary(
         plan=plan,
@@ -372,27 +371,14 @@ def kernel_throughput(
         raise ParamError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
     if steps < 1:
         raise ParamError(f"need steps >= 1, got {steps}")
-    n = params.n
-    p1, r2 = float(params.p1), 1.0 - float(params.p2)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    row_bytes = (n + 7) // 8
+    rows = max(1, _CHUNK_DOUBLES // params.n)
     code = 0
     done = 0
     t0 = time.perf_counter()
     while done < steps:
-        chunk = min(_CHUNK, steps - done)
-        u = rng.random((chunk, n))
-        if kernel == "scalar":
-            for t in range(chunk):
-                code = scalar_step(code, params, u[t])
-        else:
-            d1, d2 = _pack_thresholds(u, p1, r2)
-            for t in range(chunk):
-                open_mask, blocked_mask = window_masks(code, params)
-                lo, hi = t * row_bytes, (t + 1) * row_bytes
-                code = (open_mask & int.from_bytes(d1[lo:hi], "little")) | (
-                    blocked_mask & int.from_bytes(d2[lo:hi], "little")
-                )
+        chunk = min(rows, steps - done)
+        code = _advance(code, params, rng.random((chunk, params.n)), kernel)[-1]
         done += chunk
     elapsed = time.perf_counter() - t0
     return steps / elapsed if elapsed > 0 else float("inf")

@@ -147,6 +147,14 @@ class TestM2:
         assert len(lines) == 10
         assert lines[1] == "0,2.0"
 
+    def test_series_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "m2", "--p1", "0.5", "--p2", "0.05", "--series", "3000"
+        )
+        assert code == 2
+        assert out == ""
+        assert "Z_647" in err
+
     def test_grid_and_series_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "m2", "--p1", "0.3", "--p2", "0.5", "--grid", "3", "--series", "5"

@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from nedpca import (
     solve_stationary,
     tv_distance,
 )
+from nedpca import montecarlo
 
 P635 = ModelParams(6, 3, 0.3, 0.5)
 
@@ -33,12 +37,17 @@ def make_plan(**kw):
     return SimulationPlan(**base)
 
 
+def summary_payload(plan):
+    payload = run(plan).to_json_dict()
+    del payload["steps_per_second"]
+    return payload
+
+
 class TestPlanValidation:
     def test_defaults_resolve(self):
         plan = make_plan()
         assert plan.histogram_enabled  # 64 states, well under the auto limit
         assert plan.start_code == 0
-        assert plan.resolved_threads >= 1
 
     @pytest.mark.parametrize(
         "kw",
@@ -49,7 +58,7 @@ class TestPlanValidation:
             dict(thin=0),
             dict(burn_in=-1),
             dict(kernel="vectorized"),
-            dict(threads=0),
+            dict(start=64),  # code out of range
             dict(start="10101"),  # wrong length
         ],
     )
@@ -67,12 +76,6 @@ class TestPlanValidation:
         params = ModelParams(21, 2, 0.3, 0.5)
         with pytest.raises(BudgetExceeded):
             SimulationPlan(params=params, seed=1, samples=10, histogram=True)
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("NEDPCA_THREADS", "4")
-        assert make_plan().resolved_threads == 4
-        monkeypatch.setenv("NEDPCA_THREADS", "junk")
-        assert make_plan().resolved_threads == 1
 
 
 class TestKernelAgreement:
@@ -112,11 +115,36 @@ class TestRunDeterminism:
         assert a.density_mean == b.density_mean
         assert a.density_stderr == b.density_stderr
 
-    def test_thread_count_invisible(self):
-        a = run(make_plan(chains=3, threads=1))
-        b = run(make_plan(chains=3, threads=3))
-        assert a.histogram == b.histogram
-        assert a.density_mean == b.density_mean
+    def test_worker_count_invisible(self, monkeypatch):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        a = summary_payload(make_plan(chains=3))  # n = 6 is below the parallel cut
+        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_N", 6)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
+        try:
+            b = summary_payload(make_plan(chains=3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [1, 3]
+        assert a == b
+
+    @pytest.mark.parametrize("kernel", ["bitparallel", "scalar"])
+    @pytest.mark.parametrize("histogram", [True, False])
+    def test_chunk_shape_invisible(self, monkeypatch, kernel, histogram):
+        # burn-in and thinning straddle the chunk boundaries of 1- and 4-row chunks
+        plan = make_plan(chains=2, burn_in=7, thin=3, kernel=kernel, histogram=histogram)
+        default = summary_payload(plan)
+        for doubles in (1, 4 * plan.params.n):
+            monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", doubles)
+            assert summary_payload(plan) == default
 
     def test_chains_extend_sample_count(self):
         summary = run(make_plan(chains=3))
@@ -125,6 +153,41 @@ class TestRunDeterminism:
 
     def test_seed_changes_output(self):
         assert run(make_plan()).histogram != run(make_plan(seed=4)).histogram
+
+
+class TestStopFlag:
+    def test_failing_chain_stops_the_others(self, monkeypatch):
+        # chain 1 fails on its third chunk; chain 0 would otherwise step
+        # thousands more, but may finish at most the chunk it is in
+        plan = make_plan(chains=2, samples=200_000, burn_in=0)
+        first_draw = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(plan.seed).spawn(2)[1])
+        ).random()
+        monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 10 * plan.params.n)
+        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_N", 6)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        advance = montecarlo._advance
+        failed = threading.Event()
+        state = {"chain1": None, "chain1_calls": 0, "after": 0}
+
+        def flaky_advance(code, params, u, kernel):
+            me = threading.get_ident()
+            if u[0, 0] == first_draw:
+                state["chain1"] = me
+            if me == state["chain1"]:
+                state["chain1_calls"] += 1
+                if state["chain1_calls"] == 3:
+                    failed.set()
+                    raise RuntimeError("chain 1 failed")
+            elif failed.is_set():
+                state["after"] += 1
+            return advance(code, params, u, kernel)
+
+        monkeypatch.setattr(montecarlo, "_advance", flaky_advance)
+        with pytest.raises(RuntimeError, match="chain 1 failed"):
+            run(plan)
+        assert state["chain1_calls"] == 3
+        assert state["after"] <= 1
 
 
 class TestEstimates:
