@@ -435,6 +435,9 @@ def main(argv: Optional[list] = None) -> int:
     except NedpcaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OverflowError as exc:
+        print(f"error: float overflow: {exc}", file=sys.stderr)
+        return 2
 
 
 def main_entry() -> None:

@@ -14,31 +14,22 @@ counting expansion
 
 over the index pairs (M,N) and weighted compositions x enumerated below; the
 site density is the same sum without the n/k prefactor, divided by Z. Both
-sums are evaluated here in float or exact rational arithmetic.
+are evaluated here in float or exact rational arithmetic.
 
-The term structure depends only on (n, m), so it is compiled once per shape
-into a table of monomials p1^k (1-p1)^e p2^(-N), e = M + (m-1)N: terms that
-share the key (k, e, N) are merged by adding their exact integer
-multiplicities and occupied multiplicities. `weight_terms` stays the
-reference enumerator the table is built from. A float evaluation is one
-matrix-vector product of the exponent array with (log p1, log(1-p1), -log p2),
-one exponential and two compensated sums, giving Z - 1 and the density
-numerator together; an exact evaluation sums the merged monomials in
-fractions. Tables are cached for the TABLE_CACHE_SIZE most recently used
-(n, m) shapes, and nothing is built at import. The bound must stay at least
-49: acceptance criterion 06 evaluates n = 2..50 at m = 2 for each grid point
-in turn, and a smaller cache would evict every table before its next use.
+`weight_terms` enumerates this sum term by term and is the reference it is
+checked against. The evaluators use the equivalent gap-renewal recurrence: a
+configuration splits into parts 1 0^(j-1), one per particle, whose weights
+multiply, so Z and the density numerator are coefficients of one renewal
+series. Both come from O(n*m) additions of nonnegative terms in O(m) memory.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
-
-import numpy as np
 
 from .errors import BudgetExceeded, NedpcaError, ParamError
 from .model import ConfigLike, ModelParams, count_patterns
@@ -60,9 +51,6 @@ __all__ = [
 
 # Exact-rational evaluation is meant for algebra verification at small n.
 RATIONAL_CAP = 12
-
-# (n, m) term tables kept; see the module docstring for why it is at least 49.
-TABLE_CACHE_SIZE = 64
 
 Real = Union[float, Fraction]
 
@@ -255,56 +243,33 @@ def weight_terms(params: ModelParams) -> Iterator[WeightTerm]:
 # ---- Partition function and density ----
 
 
-@dataclass(frozen=True)
-class _TermTable:
-    """The partition sum of one (n, m), merged by monomial key (k, e, N).
-
-    exact holds (k, e, N, multiplicity, occupied multiplicity) in integers;
-    exponents and log_counts are the same rows as read-only float arrays.
-    """
-
-    exact: tuple[tuple[int, int, int, int, int], ...]
-    exponents: np.ndarray  # (r, 3): k, e, N
-    log_counts: np.ndarray  # (r, 2): log multiplicity, log occupied multiplicity
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _term_table(n: int, m: int) -> _TermTable:
-    merged: dict[tuple[int, int, int], list[int]] = {}
-    # the enumeration reads only n and m; the probabilities are placeholders
-    for t in weight_terms(ModelParams(n, m, 0.5, 0.5)):
-        counts = merged.setdefault((t.k, t.one_minus_p1_exponent, t.N), [0, 0])
-        counts[0] += t.multiplicity
-        counts[1] += t.occupied_multiplicity
-    exact = tuple(key + (mult, occ) for key, (mult, occ) in merged.items())
-    exponents = np.array([row[:3] for row in exact], dtype=float)
-    # weight_terms drops classes with no occupied count, so both logs are finite
-    log_counts = np.array([(math.log(row[3]), math.log(row[4])) for row in exact])
-    exponents.setflags(write=False)
-    log_counts.setflags(write=False)
-    return _TermTable(exact=exact, exponents=exponents, log_counts=log_counts)
-
-
 def _sums(params: ModelParams) -> tuple[Real, Real]:
-    """Z and the density numerator (configurations with site 1 occupied)."""
+    """Z and the density numerator (configurations with site 1 occupied).
+
+    c[L] is the total weight of the strings of length L cut into parts
+    1 0^(j-1). A part of length j weighs a[j-1] = p1 (1-p1)^(j-1) for j < m
+    and b for j >= m, so c[L] = sum_{j<m} a[j-1] c[L-j] + b (c[0] + .. + c[L-m]).
+    The density numerator is c[n]; Z adds, over the part holding site 1, its
+    weight times c[n-j] times the j places site 1 can take in it.
+    """
     _check_rational_cap(params)
-    table = _term_table(params.n, params.m)
-    p1, p2 = params.p1, params.p2
-    if params.exact:
-        z = occupied = Fraction(0)
-        for k, e, big_n, mult, occ in table.exact:
-            w = p1 ** k * (1 - p1) ** e * p2 ** (-big_n)
-            z += mult * w
-            occupied += occ * w
-        return 1 + z, occupied
-    # exponent-and-log form keeps huge multiplicities away from overflow
-    log_weights = table.exponents @ np.array([math.log(p1), math.log1p(-p1), -math.log(p2)])
-    try:
-        with np.errstate(over="raise"):
-            terms = np.exp(table.log_counts + log_weights[:, None])
-    except FloatingPointError as exc:
-        raise OverflowError("math range error") from exc
-    return 1 + math.fsum(terms[:, 0]), math.fsum(terms[:, 1])
+    n, m, p1 = params.n, params.m, params.p1
+    a = [p1 * (1 - p1) ** (j - 1) for j in range(1, m)]
+    b = p1 * (1 - p1) ** (m - 1) / params.p2
+    window: deque = deque([1], maxlen=m)  # c[L-m] .. c[L-1]
+    s = w = 0  # sums of c[t] and of (L-m-t) c[t] over t <= L-m; all terms >= 0
+    for length in range(1, n + 1):
+        if length >= m:
+            w += s
+            s += window[0]
+        short = sum(a[j - 1] * window[-j] for j in range(1, min(length, m - 1) + 1))
+        window.append(short + b * s)
+    # window[-1-j] is c[n-j]; w + m*s is sum_{t<=n-m} (n-t) c[t]
+    z = 1 + sum(j * a[j - 1] * window[-1 - j] for j in range(1, m)) + b * (w + m * s)
+    occupied = window[-1]
+    if not params.exact and not (math.isfinite(z) and math.isfinite(occupied)):
+        raise OverflowError("math range error")
+    return z, occupied
 
 
 def _check_rational_cap(params: ModelParams) -> None:
@@ -315,9 +280,10 @@ def _check_rational_cap(params: ModelParams) -> None:
 
 
 def partition_formula(params: ModelParams) -> Real:
-    """The normalizing constant Z_{n,m} by the cycle-counting expansion.
+    """The normalizing constant Z_{n,m} of the cycle-counting expansion.
 
-    Float parameters give a compensated floating sum; exact fractions give the
+    Evaluated by the gap-renewal recurrence. Float parameters give a float
+    and raise OverflowError past the float range; exact fractions give the
     exact rational value (n capped at RATIONAL_CAP in that mode).
     """
     return _sums(params)[0]

@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .closedforms import partition_formula
 from .errors import BudgetExceeded, DegenerateDenominator, DomainError, NedpcaError, ParamError
-from .model import ModelParams
 
 __all__ = [
     "SERIES_CAP",
@@ -68,16 +66,21 @@ def _on_removable_line(p1: float, p2: float) -> bool:
 # ---- Recurrence ----
 
 
+def _z2_seed(p1: float, p2: float) -> float:
+    # Z_{2,2} by its four configurations: 00, 11 and the two with one particle
+    return 1.0 + p1 * p1 + 2.0 * p1 * (1.0 - p1) / p2
+
+
 def z2_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     """Z_{0,2} .. Z_{n_max,2} by the three-term recurrence.
 
-    Seeds are Z_0 = 2 and Z_1 = 1 + p1; Z_2 comes from the general partition
-    formula because the recurrence itself only holds from n = 2 on.
+    Seeds are Z_0 = 2, Z_1 = 1 + p1 and Z_2 (see _z2_seed), because the
+    recurrence itself only holds from n = 2 on.
     """
     p1, p2 = _validate(p1, p2)
     if n_max < 2:
         raise ParamError(f"need n_max >= 2, got {n_max}")
-    z = [2.0, 1.0 + p1, float(partition_formula(ModelParams(2, 2, p1, p2)))]
+    z = [2.0, 1.0 + p1, _z2_seed(p1, p2)]
     for n in range(n_max - 2):
         z.append((p1 * (1.0 - p1 - p2) * z[-2] + p2 * (1.0 + p1) * z[-1]) / p2)
     return tuple(z)
@@ -92,7 +95,7 @@ def z2_log_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     p1, p2 = _validate(p1, p2)
     if n_max < 2:
         raise ParamError(f"need n_max >= 2, got {n_max}")
-    z2 = float(partition_formula(ModelParams(2, 2, p1, p2)))
+    z2 = _z2_seed(p1, p2)
     out = [math.log(2.0), math.log1p(p1), math.log(z2)]
     a = 1.0 + p1
     b = p1 * (q2_parameter(p1, p2) - 1.0)

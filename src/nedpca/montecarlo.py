@@ -242,7 +242,7 @@ def _run_chain(
     n = params.n
     rng = np.random.Generator(np.random.Philox(child_seed))
     rows = max(1, _CHUNK_DOUBLES // n)
-    codes = [] if plan.histogram_enabled else None
+    hist = np.zeros(params.n_states, dtype=np.int64) if plan.histogram_enabled else None
     batch_ones = [0] * _NUM_BATCHES
     batch_sizes = [0] * _NUM_BATCHES
     pattern_sums = [0] * params.m
@@ -265,17 +265,13 @@ def _run_chain(
             batch_ones[b] += c.bit_count()
             batch_sizes[b] += 1
             retained += 1
-        if codes is not None:
-            codes.extend(kept)
+        if hist is not None:
+            hist += np.bincount(np.asarray(kept, dtype=np.int64), minlength=params.n_states)
         else:
             chunk_sums = _pattern_sums(((c, 1) for c in kept), params)
             pattern_sums = [a + b for a, b in zip(pattern_sums, chunk_sums)]
         if trace is not None:
             trace.extend(Configuration(c, n).to_string() for c in kept[: TRACE_CAP - len(trace)])
-    hist = None
-    if codes is not None:
-        hist = np.zeros(params.n_states, dtype=np.int64)
-        np.add.at(hist, np.asarray(codes, dtype=np.int64), 1)
     return _ChainResult(batch_ones, batch_sizes, hist, pattern_sums, trace)
 
 

@@ -92,6 +92,17 @@ class TestPartition:
         assert row == "3,2,1/2,1/3,9/2,13/36"
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("command", ["partition", "exact"])
+    def test_float_overflow_exits_2(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "-n", "6", "-m", "2", "--p1", "0.5", "--p2", "1e-300"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSimulate:
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(

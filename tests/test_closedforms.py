@@ -24,6 +24,8 @@ from nedpca import (
     stationary_table_formula,
     stationary_weight,
     weight_terms,
+    z2_log_recurrence,
+    z2_recurrence,
 )
 
 PARAMS_635 = ModelParams(6, 3, 0.3, 0.5)
@@ -173,34 +175,71 @@ class TestPartitionFormula:
             density_formula(params)
 
 
-class TestTermTable:
-    @pytest.fixture
-    def enumerations(self, monkeypatch):
-        """The (n, m) of each weight_terms call, on a fresh table cache."""
-        calls = []
+def _paper_sum(params):
+    """Z and the density numerator summed straight from weight_terms."""
+    p1, p2 = params.p1, params.p2
+    add = sum if params.exact else math.fsum
+    terms = [
+        (
+            t.multiplicity,
+            t.occupied_multiplicity,
+            p1**t.k * (1 - p1) ** t.one_minus_p1_exponent / p2**t.N,
+        )
+        for t in weight_terms(params)
+    ]
+    return 1 + add(mult * w for mult, _, w in terms), add(occ * w for _, occ, w in terms)
 
-        def counting(params):
-            calls.append((params.n, params.m))
-            return weight_terms(params)
 
-        monkeypatch.setattr(closedforms, "weight_terms", counting)
-        closedforms._term_table.cache_clear()
-        yield calls
-        closedforms._term_table.cache_clear()
+# one point per (n, m) up to n = 60 and m = 8, as in the benchmark's scan
+SCAN_SHAPES = (
+    (12, 2), (24, 2), (36, 2), (48, 2), (60, 2),
+    (12, 3), (24, 3), (36, 3), (48, 3),
+    (12, 4), (24, 4), (36, 4),
+    (12, 5), (24, 5), (30, 5),
+    (12, 6), (24, 6),
+    (12, 7), (24, 7),
+    (12, 8), (24, 8),
+)
 
-    def test_one_enumeration_per_shape(self, enumerations):
-        for i in range(25):
-            params = ModelParams(9, 3, 0.05 + 0.035 * i, 1.0 - 0.03 * i)
-            partition_formula(params)
-            density_formula(params)
-        assert enumerations == [(9, 3)]
 
-    def test_cache_holds_a_criterion_06_sweep(self, enumerations):
-        # criterion 06 evaluates n = 2..50 at m = 2 for each grid point in turn
-        for p1, p2 in ((0.3, 0.5), (0.6, 0.2)):
-            for n in range(2, 51):
-                partition_formula(ModelParams(n, 2, p1, p2))
-        assert enumerations == [(n, 2) for n in range(2, 51)]
+class TestRenewal:
+    def test_no_enumeration(self, monkeypatch):
+        def refuse(params):
+            raise AssertionError("the evaluators must not enumerate weight_terms")
+
+        monkeypatch.setattr(closedforms, "weight_terms", refuse)
+        params = ModelParams(60, 8, 0.3, 0.5)
+        assert math.isfinite(partition_formula(params))
+        assert 0 < density_formula(params) < 1
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_exact_equals_paper_sum(self, m):
+        for n in range(m, 13):
+            params = ModelParams(n, m, Fraction(2, 7), Fraction(3, 5))
+            z, occupied = _paper_sum(params)
+            assert partition_formula(params) == z
+            assert density_formula(params) == occupied / z
+
+    @pytest.mark.parametrize("n, m", SCAN_SHAPES, ids=str)
+    def test_float_equals_paper_sum(self, n, m):
+        params = ModelParams(n, m, 0.37, 0.61)
+        z, occupied = _paper_sum(params)
+        assert partition_formula(params) == pytest.approx(z, rel=1e-13)
+        assert density_formula(params) == pytest.approx(occupied / z, rel=1e-13)
+
+    @pytest.mark.parametrize("p1, p2", [(0.5, 0.05), (0.3, 0.5), (0.3, 0.7), (0.9, 0.02)])
+    def test_large_n_matches_m2(self, p1, p2):
+        z = partition_formula(ModelParams(600, 2, p1, p2))
+        assert z == pytest.approx(z2_recurrence(600, p1, p2)[600], rel=1e-13)
+        # the log recurrence adds 600 logs into a total near 660, so its
+        # log Z carries a few hundred ulps of 660 (measured up to 8e-12)
+        assert math.log(z) == pytest.approx(z2_log_recurrence(600, p1, p2)[600], abs=1e-10)
+
+    def test_first_overflow_raises(self):
+        # at (0.5, 0.05) Z_646 is the last finite value, as in `nedpca m2 --series`
+        assert math.isfinite(partition_formula(ModelParams(646, 2, 0.5, 0.05)))
+        with pytest.raises(OverflowError):
+            partition_formula(ModelParams(647, 2, 0.5, 0.05))
 
 
 class TestDensityFormula:

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -188,6 +189,25 @@ class TestStopFlag:
             run(plan)
         assert state["chain1_calls"] == 3
         assert state["after"] <= 1
+
+
+class TestHistogramMemory:
+    def test_peak_does_not_grow_with_samples(self, monkeypatch):
+        # the histogram is added to per chunk, so only a chunk of codes is
+        # ever held; small chunks keep the fixed part of the peak small
+        monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 1 << 12)
+        params = ModelParams(12, 3, 0.3, 0.5)
+        run(SimulationPlan(params=params, seed=5, samples=1000, burn_in=0))  # first-use costs
+        peaks = []
+        for samples in (10_000, 40_000):
+            plan = SimulationPlan(params=params, seed=5, samples=samples, burn_in=0)
+            tracemalloc.start()
+            try:
+                run(plan)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 class TestEstimates:

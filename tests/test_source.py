@@ -47,3 +47,32 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used - _module_all(tree))
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def _package_imports(name: str) -> set:
+    """The sibling modules that src/nedpca/<name> imports; the package
+    imports its own modules relatively."""
+    path = Path(nedpca.__file__).parent / name
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, forbidden",
+    [
+        ("m2.py", {"closedforms"}),
+        ("closedforms.py", {"m2"}),
+        ("solver.py", {"closedforms", "m2"}),
+    ],
+    ids=["m2", "closedforms", "solver"],
+)
+def test_layers_stay_independent(name, forbidden):
+    # the acceptance gate checks these layers against each other, so none
+    # may compute its values through another
+    assert _package_imports(name) & forbidden == set()
