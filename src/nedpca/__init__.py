@@ -49,7 +49,6 @@ from .solver import (
     reversibility_ratio,
     solve_stationary,
     transition_edges,
-    transition_row,
 )
 from .closedforms import (
     CompositionSet,
@@ -116,7 +115,6 @@ __all__ = [
     "TransitionMatrix",
     "StationaryTable",
     "BalanceAudit",
-    "transition_row",
     "build_matrix",
     "solve_stationary",
     "check_irreducible_aperiodic",

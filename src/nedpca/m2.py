@@ -90,7 +90,9 @@ def z2_log_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     """log Z_{0,2} .. log Z_{n_max,2}, overflow-safe for large n.
 
     Iterates the successive ratio r_n = Z_{n+1}/Z_n, which obeys
-    r_{n+1} = (1+p1) + p1 (q2 - 1) / r_n, and accumulates its logs.
+    r_{n+1} = (1+p1) + p1 (q2 - 1) / r_n, and accumulates its logs in a
+    Neumaier compensated sum, so the rounding of the running total does not
+    build up over thousands of steps.
     """
     p1, p2 = _validate(p1, p2)
     if n_max < 2:
@@ -100,9 +102,17 @@ def z2_log_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     a = 1.0 + p1
     b = p1 * (q2_parameter(p1, p2) - 1.0)
     r = z2 / (1.0 + p1)  # r_1 = Z_2 / Z_1
+    total, carry = out[-1], 0.0  # carry holds the low-order bits total dropped
     for n in range(n_max - 2):
         r = a + b / r
-        out.append(out[-1] + math.log(r))
+        term = math.log(r)
+        t = total + term
+        if abs(total) >= abs(term):
+            carry += (total - t) + term
+        else:
+            carry += (term - t) + total
+        total = t
+        out.append(total + carry)
     return tuple(out)
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "TransitionMatrix",
     "StationaryTable",
     "BalanceAudit",
-    "transition_row",
     "build_matrix",
     "solve_stationary",
     "check_irreducible_aperiodic",
@@ -62,24 +61,22 @@ RATIONAL_CAP = 8
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Row-major dense one-step matrix; entries[a][b] = P[a -> b]."""
+    """Dense one-step matrix, entries[a, b] = P[a -> b].
+
+    The entries are float64, or Python Fractions in an object array when the
+    parameters are exact.
+    """
 
     params: ModelParams
-    entries: object  # ndarray (float mode) or tuple of tuples of Fraction
-    exact: bool
+    entries: np.ndarray
+
+    @property
+    def exact(self) -> bool:
+        return self.params.exact
 
     @property
     def n_states(self) -> int:
         return self.params.n_states
-
-    def row(self, alpha: ConfigLike):
-        a = Configuration.coerce(alpha, self.params.n)
-        return self.entries[a.code]
-
-    def prob(self, alpha: ConfigLike, beta: ConfigLike):
-        a = Configuration.coerce(alpha, self.params.n)
-        b = Configuration.coerce(beta, self.params.n)
-        return self.entries[a.code][b.code]
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,68 +125,40 @@ class BalanceAudit:
 # ---- Matrix construction ----
 
 
-def _site_factors(code: int, params: ModelParams) -> list:
-    """Per-site pairs (prob of new bit 0, prob of new bit 1) for source state code."""
-    open_mask, blocked_mask = window_masks(code, params)
-    p1, p2 = params.p1, params.p2
-    open_pair = (1 - p1, p1)
-    blocked_pair = (p2, 1 - p2)
-    forced_pair = (1, 0)
-    factors = []
-    for i in range(params.n):
-        bit = 1 << i
-        if open_mask & bit:
-            factors.append(open_pair)
-        elif blocked_mask & bit:
-            factors.append(blocked_pair)
-        else:
-            factors.append(forced_pair)
-    return factors
+def build_matrix(params: ModelParams) -> TransitionMatrix:
+    """Every row P[a -> .] at once, as a product of independent site factors.
 
-
-def transition_row(alpha: ConfigLike, params: ModelParams):
-    """Full outgoing distribution of one state, indexed by target encoding.
-
-    Float parameters give an ndarray of length 2**n, exact fractions a list.
-    The row is assembled as a Kronecker product of per-site factor pairs; the
-    site-by-site product definition is recovered entry by entry.
-    """
-    a = Configuration.coerce(alpha, params.n)
-    factors = _site_factors(a.code, params)
-    if params.exact:
-        row = [Fraction(f) for f in factors[0]]
-        for pair in factors[1:]:
-            row = [f * r for f in pair for r in row]
-        return row
-    row = np.array(factors[0], dtype=float)
-    for pair in factors[1:]:
-        row = np.kron(np.array(pair, dtype=float), row)
-    return row
-
-
-def build_matrix(params: ModelParams, max_n: Optional[int] = None) -> TransitionMatrix:
-    """Tabulate transition_row for every source state.
-
-    Args:
-        params: model parameters; exact fractions switch on rational mode.
-        max_n: optional override of the size cap (FLOAT_CAP or RATIONAL_CAP).
+    Bit i of a column index b is the new value at site i+1. Once bits
+    0..i-1 are placed, columns 0..2**i-1 hold every row's partial products;
+    bit i copies that block times its fill factor into columns
+    2**i..2**(i+1)-1, then scales the block in place by its stay factor.
+    These are the products of a per-row Kronecker expansion, in its order.
 
     Raises:
-        BudgetExceeded: when n exceeds the applicable cap.
+        BudgetExceeded: when n exceeds FLOAT_CAP, or RATIONAL_CAP for exact
+            fractions.
     """
-    cap = max_n if max_n is not None else (RATIONAL_CAP if params.exact else FLOAT_CAP)
+    cap = RATIONAL_CAP if params.exact else FLOAT_CAP
     if params.n > cap:
         raise BudgetExceeded(
             f"n={params.n} exceeds the {'rational' if params.exact else 'float'} cap {cap}"
         )
+    dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
+    p1, p2 = params.p1, params.p2
+    # site factors indexed by kind: 0 forced, 1 open vacancy, 2 blocked vacancy
+    stay = np.array([1, 1 - p1, p2], dtype=dtype)
+    fill = np.array([0, p1, 1 - p2], dtype=dtype)
     ns = params.n_states
-    if params.exact:
-        entries = tuple(tuple(transition_row(a, params)) for a in range(ns))
-        return TransitionMatrix(params=params, entries=entries, exact=True)
-    mat = np.empty((ns, ns), dtype=float)
-    for a in range(ns):
-        mat[a, :] = transition_row(a, params)
-    return TransitionMatrix(params=params, entries=mat, exact=False)
+    masks = np.array([window_masks(a, params) for a in range(ns)], dtype=np.int64)
+    entries = np.empty((ns, ns), dtype=dtype)
+    entries[:, 0] = one
+    for i in range(params.n):
+        kind = ((masks[:, 0] >> i) & 1) + 2 * ((masks[:, 1] >> i) & 1)
+        width = 1 << i
+        block = entries[:, :width]
+        np.multiply(block, fill[kind, None], out=entries[:, width : 2 * width])
+        block *= stay[kind, None]
+    return TransitionMatrix(params=params, entries=entries)
 
 
 # ---- Stationary solve ----
@@ -222,45 +191,35 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     """Unique left fixed probability vector of the chain, by direct solve.
 
     Solves (P^T - I) pi = 0 with the last equation replaced by the
-    normalization sum(pi) = 1.
+    normalization sum(pi) = 1: by LU in floats, by elimination over
+    Fractions in exact mode.
 
     Raises:
         SolveFailed: if the system is singular (chain not ergodic; cannot
             happen for validated parameters).
     """
-    ns = matrix.n_states
-    if matrix.exact:
-        rows = [
-            [matrix.entries[a][b] - (1 if a == b else 0) for a in range(ns)]
-            for b in range(ns)
-        ]
-        rows[-1] = [Fraction(1)] * ns
-        rhs = [Fraction(0)] * (ns - 1) + [Fraction(1)]
-        pi = _solve_exact_linear(rows, rhs)
-        return StationaryTable(params=matrix.params, probs=tuple(pi), source="solver")
     p = matrix.entries
-    a = p.T - np.eye(ns)
-    a[-1, :] = 1.0
-    b = np.zeros(ns)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailed(f"stationary solve failed: {exc}") from exc
-    if not np.isfinite(pi).all():
-        raise SolveFailed("stationary solve produced non-finite entries")
-    return StationaryTable(params=matrix.params, probs=tuple(pi.tolist()), source="solver")
+    a = p.T - np.eye(matrix.n_states, dtype=p.dtype)
+    a[-1, :] = 1
+    b = np.zeros(matrix.n_states, dtype=p.dtype)
+    b[-1] = 1
+    if matrix.exact:
+        pi = _solve_exact_linear(a.tolist(), b.tolist())
+    else:
+        try:
+            pi = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise SolveFailed(f"stationary solve failed: {exc}") from exc
+        if not np.isfinite(pi).all():
+            raise SolveFailed("stationary solve produced non-finite entries")
+        pi = pi.tolist()
+    return StationaryTable(params=matrix.params, probs=tuple(pi), source="solver")
 
 
 def check_irreducible_aperiodic(matrix: TransitionMatrix) -> bool:
     """Ergodicity certificate: 0^n reaches and is reached by every state in one
     step with positive probability, and 0^n holds itself with positive
     probability (aperiodicity)."""
-    ns = matrix.n_states
-    if matrix.exact:
-        row0 = matrix.entries[0]
-        col0 = [matrix.entries[a][0] for a in range(ns)]
-        return all(x > 0 for x in row0) and all(x > 0 for x in col0) and row0[0] > 0
     p = matrix.entries
     return bool((p[0, :] > 0).all() and (p[:, 0] > 0).all() and p[0, 0] > 0)
 
@@ -271,18 +230,17 @@ def _check_consistent(table: StationaryTable, matrix: TransitionMatrix) -> None:
 
 
 def balance_residual(table: StationaryTable, matrix: TransitionMatrix):
-    """Master-equation residual max_b |sum_a P[a->b] pi(a) - pi(b)|."""
+    """Master-equation residual max_b |sum_a P[a->b] pi(a) - pi(b)|.
+
+    Exact (a Fraction) when both the matrix and the table are rational,
+    a float otherwise.
+    """
     _check_consistent(table, matrix)
-    if matrix.exact and isinstance(table.probs[0], Fraction):
-        ns = matrix.n_states
-        worst = Fraction(0)
-        for b in range(ns):
-            s = sum(matrix.entries[a][b] * table.probs[a] for a in range(ns))
-            worst = max(worst, abs(s - table.probs[b]))
-        return worst
-    p = np.asarray(matrix.entries, dtype=float)
-    pi = np.asarray(table.probs, dtype=float)
-    return float(np.max(np.abs(p.T @ pi - pi)))
+    dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
+    p = np.asarray(matrix.entries, dtype=dtype)
+    pi = np.asarray(table.probs, dtype=dtype)
+    worst = np.max(np.abs(p.T @ pi - pi))
+    return worst if dtype is object else float(worst)
 
 
 def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> BalanceAudit:
@@ -377,17 +335,10 @@ def reversibility_ratio(alpha: ConfigLike, beta: ConfigLike, params: ModelParams
 
 def transition_edges(params: ModelParams, threshold: float = 0.0) -> list[tuple[str, str, float]]:
     """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings."""
-    matrix = build_matrix(params)
-    ns = params.n_states
-    edges = []
-    for a in range(ns):
-        sa = Configuration(a, params.n).to_string()
-        row = matrix.entries[a]
-        for b in range(ns):
-            v = float(row[b])
-            if v > threshold:
-                edges.append((sa, Configuration(b, params.n).to_string(), v))
-    return edges
+    p = np.asarray(build_matrix(params).entries, dtype=float)
+    names = [Configuration(code, params.n).to_string() for code in range(params.n_states)]
+    src, dst = np.nonzero(p > threshold)
+    return [(names[a], names[b], float(p[a, b])) for a, b in zip(src.tolist(), dst.tolist())]
 
 
 def one_directional_pair(params: ModelParams) -> Optional[tuple[Configuration, Configuration]]:

@@ -81,6 +81,24 @@ class TestPartition:
         payload = json.loads(out)
         assert payload["checks"]["recurrence_rel_gap"] < 1e-10
 
+    @pytest.mark.parametrize(
+        "argv, reported",
+        [
+            (("-n", "16", "--p1", "0.3", "--p2", "0.5"), True),
+            (("-n", "17", "--p1", "0.3", "--p2", "0.5"), False),
+            (("-n", "12", "--p1", "1/3", "--p2", "1/2", "--exact-rational"), True),
+        ],
+        ids=["float-n16", "float-n17", "exact-n12"],
+    )
+    def test_weight_sum_check_follows_the_table_cap(self, capsys, argv, reported):
+        # exact n = 13 exits 3 before any check: Z itself is capped there
+        code, out, _ = run_cli(capsys, "partition", "-m", "3", *argv)
+        assert code == 0
+        gap = json.loads(out)["checks"]["weight_sum_rel_gap"]
+        assert (gap is not None) == reported
+        if reported:
+            assert gap < 1e-14
+
     def test_exact_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "partition", "-n", "3", "-m", "2", "--p1", "1/2", "--p2", "1/3",

@@ -1,6 +1,8 @@
 """Nearest-neighbour analytics: recurrence, series, poles, free energy."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,18 @@ class TestRecurrence:
         values = z2_recurrence(30, 0.3, 0.5)
         for n in range(2, 31):
             assert logs[n] == pytest.approx(math.log(values[n]), rel=1e-13)
+
+    def test_log_recurrence_does_not_drift(self):
+        # exact Z_600 from the same recurrence over the floats' exact values
+        p1, p2 = Fraction(0.5), Fraction(0.05)
+        z = [Fraction(2), 1 + p1, 1 + p1 * p1 + 2 * p1 * (1 - p1) / p2]
+        for _ in range(598):
+            z.append((p1 * (1 - p1 - p2) * z[-2] + p2 * (1 + p1) * z[-1]) / p2)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = Decimal(z[600].numerator).ln() - Decimal(z[600].denominator).ln()
+            gap = abs(Decimal(z2_log_recurrence(600, 0.5, 0.05)[600]) - exact)
+        assert gap < Decimal("2e-13")
 
     def test_log_recurrence_survives_large_n(self):
         logs = z2_log_recurrence(5000, 0.7, 0.2)

@@ -25,7 +25,6 @@ from nedpca import (
     stationary_table_formula,
     transition_edges,
     transition_prob,
-    transition_row,
 )
 
 REFERENCE = ModelParams(3, 2, Fraction(1, 2), Fraction(1, 3))
@@ -44,18 +43,39 @@ float_params = st.builds(
 
 
 class TestTransitionRow:
+    """Rows of build_matrix against the site-by-site product definition."""
+
     @given(float_params, st.integers(0, 2**7 - 1))
     @settings(max_examples=50, deadline=None)
     def test_row_matches_per_pair_products(self, params, raw):
         alpha = raw & (params.n_states - 1)
-        row = transition_row(alpha, params)
+        row = build_matrix(params).entries[alpha]
+        assert row.dtype == np.float64
         for beta in range(params.n_states):
-            assert row[beta] == pytest.approx(transition_prob(alpha, beta, params))
+            assert row[beta] == transition_prob(alpha, beta, params)
 
     def test_exact_row_sums_to_one(self):
-        row = transition_row(0b011, REFERENCE)
+        row = build_matrix(REFERENCE).entries[0b011]
         assert sum(row) == 1
         assert all(isinstance(x, Fraction) for x in row)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_exact_entries_are_the_product_fractions(self, m):
+        for n in range(m, 7):
+            params = ModelParams(n, m, Fraction(1, 3), Fraction(1, 2))
+            entries = build_matrix(params).entries
+            for alpha in range(params.n_states):
+                for beta in range(params.n_states):
+                    x = entries[alpha, beta]
+                    assert isinstance(x, Fraction)
+                    assert x == transition_prob(alpha, beta, params)
+
+    def test_one_fraction_probability_gives_floats(self):
+        # exact mode needs both Fractions; `--p1 3/10 --p2 0.5` gives this mix
+        params = ModelParams(5, 3, Fraction(3, 10), 0.5)
+        entries = build_matrix(params).entries
+        assert entries.dtype == np.float64
+        assert entries[0, 1] == pytest.approx(float(transition_prob(0, 1, params)), rel=1e-15)
 
 
 class TestBuildAndSolve:
@@ -91,10 +111,6 @@ class TestBuildAndSolve:
     def test_rational_cap(self):
         with pytest.raises(BudgetExceeded):
             build_matrix(ModelParams(9, 2, Fraction(1, 3), Fraction(1, 2)))
-
-    def test_cap_override(self):
-        matrix = build_matrix(ModelParams(9, 2, Fraction(1, 3), Fraction(1, 2)), max_n=9)
-        assert matrix.exact
 
     @given(float_params)
     @settings(max_examples=25, deadline=None)

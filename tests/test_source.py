@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,15 @@ def _module_all(tree: ast.Module) -> set:
                 if isinstance(c, ast.Constant) and isinstance(c.value, str)
             }
     return set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_exports_are_bound(path):
+    # a stale __all__ entry only fails on `import *`, so check every name
+    name = "nedpca" if path.stem == "__init__" else f"nedpca.{path.stem}"
+    module = importlib.import_module(name)
+    missing = sorted(e for e in getattr(module, "__all__", ()) if not hasattr(module, e))
+    assert missing == [], f"{path.name}: __all__ names unbound {missing}"
 
 
 @pytest.mark.parametrize(
