@@ -26,6 +26,7 @@ from .model import (
     ModelParams,
     PatternCounts,
     SiteWindow,
+    StationaryTable,
     classify_window,
     count_patterns,
     ror,
@@ -37,16 +38,13 @@ from .model import (
 )
 from .solver import (
     BalanceAudit,
-    StationaryTable,
     TransitionMatrix,
     audit_detailed_balance,
     balance_residual,
     build_matrix,
     check_irreducible_aperiodic,
     one_directional_pair,
-    position_pairs,
     power_iteration,
-    reversibility_ratio,
     solve_stationary,
     transition_edges,
 )
@@ -58,6 +56,8 @@ from .closedforms import (
     enumerate_compositions,
     enumerate_index_pairs,
     partition_formula,
+    position_pairs,
+    reversibility_ratio,
     stationary_table_formula,
     stationary_weight,
     weight_terms,
@@ -103,6 +103,7 @@ __all__ = [
     "ConfigLike",
     "PatternCounts",
     "SiteWindow",
+    "StationaryTable",
     "ror",
     "classify_window",
     "site_update_prob",
@@ -113,7 +114,6 @@ __all__ = [
     "step_sample",
     # solver
     "TransitionMatrix",
-    "StationaryTable",
     "BalanceAudit",
     "build_matrix",
     "solve_stationary",
@@ -121,13 +121,13 @@ __all__ = [
     "balance_residual",
     "audit_detailed_balance",
     "power_iteration",
-    "position_pairs",
-    "reversibility_ratio",
     "transition_edges",
     "one_directional_pair",
     # closed forms
     "stationary_weight",
     "stationary_table_formula",
+    "position_pairs",
+    "reversibility_ratio",
     "IndexPairSet",
     "CompositionSet",
     "WeightTerm",

@@ -3,8 +3,8 @@
 Each criterion returns a CheckResult with a one-line verdict; run_level
 executes all ten. The "quick" level shrinks the heavy parameter sweeps
 (criteria 1, 3, 4, 9, 10) but runs the analytic criteria in full; "full"
-runs everything at production size, including the five-minute exact-solver
-sweep up to n = 10.
+runs everything at production size, including the exact-solver sweep up to
+n = 10 (about 6 s on a 2-vCPU Xeon).
 
 Two criteria pin facts that are easy to state wrongly:
 

@@ -21,6 +21,9 @@ checked against. The evaluators use the equivalent gap-renewal recurrence: a
 configuration splits into parts 1 0^(j-1), one per particle, whose weights
 multiply, so Z and the density numerator are coefficients of one renewal
 series. Both come from O(n*m) additions of nonnegative terms in O(m) memory.
+
+The m = 2 reversibility ratio lives here too, because it reads the product
+weights; the transition-matrix oracle in `solver` never does.
 """
 
 from __future__ import annotations
@@ -31,17 +34,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import BudgetExceeded, NedpcaError, ParamError
-from .model import ConfigLike, ModelParams, count_patterns
-from .solver import FLOAT_CAP, StationaryTable
+from .errors import BudgetExceeded, DomainError, NedpcaError, ParamError
+from .model import (
+    ConfigLike,
+    Configuration,
+    ModelParams,
+    StationaryTable,
+    count_patterns,
+    transition_prob,
+)
 
 __all__ = [
-    "RATIONAL_CAP",
+    "TABLE_CAP",
     "IndexPairSet",
     "CompositionSet",
     "WeightTerm",
     "stationary_weight",
     "stationary_table_formula",
+    "position_pairs",
+    "reversibility_ratio",
     "enumerate_index_pairs",
     "enumerate_compositions",
     "weight_terms",
@@ -49,8 +60,9 @@ __all__ = [
     "density_formula",
 ]
 
-# Exact-rational evaluation is meant for algebra verification at small n.
-RATIONAL_CAP = 12
+# The stationary table lists all 2**n weights; an exact n = 16 table takes
+# about a second, so the same cap serves floats and fractions.
+TABLE_CAP = 16
 
 Real = Union[float, Fraction]
 
@@ -72,19 +84,62 @@ def stationary_table_formula(params: ModelParams) -> StationaryTable:
     """All 2**n weights normalized by their sum.
 
     Raises:
-        BudgetExceeded: n above FLOAT_CAP (float) or RATIONAL_CAP (fractions).
+        BudgetExceeded: n above TABLE_CAP.
     """
-    cap = RATIONAL_CAP if params.exact else FLOAT_CAP
-    if params.n > cap:
-        raise BudgetExceeded(f"n={params.n} exceeds the table cap {cap}")
+    if params.n > TABLE_CAP:
+        raise BudgetExceeded(f"n={params.n} exceeds the table cap {TABLE_CAP}")
     weights = [stationary_weight(code, params) for code in range(params.n_states)]
-    if params.exact:
-        z = sum(weights)
-        probs = tuple(w / z for w in weights)
+    z = sum(weights) if params.exact else math.fsum(weights)
+    return StationaryTable(params=params, probs=tuple(w / z for w in weights), source="formula")
+
+
+# ---- Reversibility ----
+
+
+def position_pairs(config: ConfigLike, a: int, b: int, params: ModelParams) -> frozenset:
+    """0-based ring positions i with value a at site i+1 and b at site i+2."""
+    conf = Configuration.coerce(config, params.n)
+    bits = conf.bits()
+    n = params.n
+    return frozenset(i for i in range(n) if bits[i] == a and bits[(i + 1) % n] == b)
+
+
+def reversibility_ratio(alpha: ConfigLike, beta: ConfigLike, params: ModelParams) -> float:
+    """The ratio pi(a)P[a->b] / (pi(b)P[b->a]) for the nearest-neighbour model.
+
+    Computed two ways and cross-checked: directly from the product-form
+    weights and the transition law, and through the closed form
+    (p1 p2 / ((1-p1)(1-p2))) ** (|Pos10,01| - |Pos01,10|) built from
+    position-set intersections. Defined for m=2 only.
+
+    Raises:
+        DomainError: if m != 2 or the reverse transition has probability 0.
+        NedpcaError: if the two paths disagree beyond 1e-12 relative.
+    """
+    if params.m != 2:
+        raise DomainError("reversibility_ratio is defined for m=2 only")
+    a = Configuration.coerce(alpha, params.n)
+    b = Configuration.coerce(beta, params.n)
+    p_ba = transition_prob(b, a, params)
+    if p_ba == 0:
+        raise DomainError("reverse transition is impossible; the ratio is undefined")
+    p_ab = transition_prob(a, b, params)
+    direct = float((stationary_weight(a, params) * p_ab) / (stationary_weight(b, params) * p_ba))
+
+    d = len(position_pairs(a, 1, 0, params) & position_pairs(b, 0, 1, params)) - len(
+        position_pairs(a, 0, 1, params) & position_pairs(b, 1, 0, params)
+    )
+    p1, p2 = float(params.p1), float(params.p2)
+    if p2 == 1.0:
+        # the closed-form base degenerates; a feasible reverse transition
+        # forces |Pos10,01| = 0, so the exponent d is never positive here
+        closed = 1.0 if d == 0 else 0.0
     else:
-        z = math.fsum(weights)
-        probs = tuple(w / z for w in weights)
-    return StationaryTable(params=params, probs=probs, source="formula")
+        closed = (p1 * p2 / ((1.0 - p1) * (1.0 - p2))) ** d
+    tol = 1e-12 * max(abs(direct), abs(closed), 1.0)
+    if not abs(direct - closed) <= tol:
+        raise NedpcaError(f"ratio paths disagree: direct={direct!r} closed={closed!r} exponent={d}")
+    return direct
 
 
 # ---- Combinatorial index sets ----
@@ -252,7 +307,6 @@ def _sums(params: ModelParams) -> tuple[Real, Real]:
     The density numerator is c[n]; Z adds, over the part holding site 1, its
     weight times c[n-j] times the j places site 1 can take in it.
     """
-    _check_rational_cap(params)
     n, m, p1 = params.n, params.m, params.p1
     a = [p1 * (1 - p1) ** (j - 1) for j in range(1, m)]
     b = p1 * (1 - p1) ** (m - 1) / params.p2
@@ -272,19 +326,12 @@ def _sums(params: ModelParams) -> tuple[Real, Real]:
     return z, occupied
 
 
-def _check_rational_cap(params: ModelParams) -> None:
-    if params.exact and params.n > RATIONAL_CAP:
-        raise BudgetExceeded(
-            f"exact-rational evaluation is capped at n <= {RATIONAL_CAP}, got n={params.n}"
-        )
-
-
 def partition_formula(params: ModelParams) -> Real:
     """The normalizing constant Z_{n,m} of the cycle-counting expansion.
 
     Evaluated by the gap-renewal recurrence. Float parameters give a float
     and raise OverflowError past the float range; exact fractions give the
-    exact rational value (n capped at RATIONAL_CAP in that mode).
+    exact rational value at any n.
     """
     return _sums(params)[0]
 

@@ -11,8 +11,8 @@ and has rational generating function
 The numerator of the site-density sequence Z_n * P[site occupied] has the
 generating function p1 x (1 - x + q2 x) over the same denominator (scaled by
 p2). The exponential growth rate F = lim (1/n) log Z_n comes from the dominant
-denominator root x_plus as F = -log x_plus, with a removable singularity on
-the line p1 + p2 = 1 where F = log(1+p1).
+denominator root x_plus as F = -log x_plus; on the line p1 + p2 = 1 the
+denominator turns linear, x_minus runs off to infinity, and F = log(1+p1).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DegenerateDenominator, DomainError, NedpcaError, ParamError
+from .errors import BudgetExceeded, DegenerateDenominator, NedpcaError, ParamError
 
 __all__ = [
     "SERIES_CAP",
@@ -41,7 +41,7 @@ __all__ = [
 
 # long-division expansions are meant for finite checks, not asymptotics
 SERIES_CAP = 10_000
-# width of the p1 + p2 = 1 window treated as the removable singularity
+# width of the p1 + p2 = 1 window where the denominator is treated as linear
 REMOVABLE_WINDOW = 1e-9
 
 
@@ -183,25 +183,18 @@ def density_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
 def free_energy(p1: float, p2: float) -> float:
     """Exponential growth rate F = lim (1/n) log Z_{n,2}.
 
-    On the removable line p1 + p2 = 1 (within REMOVABLE_WINDOW) the limit
-    value log(1+p1) is returned; elsewhere the closed form
+    The closed form -log[(-p2(1+p1) + sqrt(R)) / (2p1(1-p1-p2))], with
+    R = p2(1-p1)(4p1+p2-p1p2), is 0/0 on the line p1 + p2 = 1. Multiplying
+    through by the conjugate gives
 
-        -log[ (-p2(1+p1) + sqrt(p2(1-p1)(4p1+p2-p1p2))) / (2p1(1-p1-p2)) ]
+        F = log[ (p2(1+p1) + sqrt(R)) / (2p2) ]
 
-    is evaluated directly.
-
-    Raises:
-        DomainError: if the radicand is negative (impossible for valid
-            parameters; indicates corrupted inputs).
+    which adds only nonnegative terms, so it loses no digits near the line
+    and equals log(1+p1) on it.
     """
     p1, p2 = _validate(p1, p2)
-    if _on_removable_line(p1, p2):
-        return math.log1p(p1)
-    radicand = p2 * (1.0 - p1) * (4.0 * p1 + p2 - p1 * p2)
-    if radicand < 0:
-        raise DomainError(f"negative radicand {radicand} for (p1,p2)=({p1},{p2})")
-    bracket = (-p2 * (1.0 + p1) + math.sqrt(radicand)) / (2.0 * p1 * (1.0 - p1 - p2))
-    return -math.log(bracket)
+    radicand = p2 * (1.0 - p1) * (4.0 * p1 + p2 * (1.0 - p1))
+    return math.log((p2 * (1.0 + p1) + math.sqrt(radicand)) / (2.0 * p2))
 
 
 def free_energy_grid(

@@ -1,4 +1,5 @@
-"""Core model: ring configurations, update rules, one-step transition law.
+"""Core model: ring configurations, update rules, one-step transition law, and
+the stationary-table type every evaluator returns.
 
 The process lives on a ring of n sites, each holding 0 or 1. All sites update
 simultaneously. Site i reads the cyclic window (a_i, a_{i+1}, ..., a_{i+m-1})
@@ -28,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ParamError
+from .errors import DimensionMismatch, ParamError
 
 __all__ = [
     "ModelParams",
@@ -36,6 +37,7 @@ __all__ = [
     "ConfigLike",
     "PatternCounts",
     "SiteWindow",
+    "StationaryTable",
     "count_patterns",
     "classify_window",
     "site_update_prob",
@@ -160,6 +162,44 @@ class Configuration:
 
 
 ConfigLike = Union[Configuration, int, str]
+
+
+# ---- Stationary tables ----
+
+
+@dataclass(frozen=True, eq=False)
+class StationaryTable:
+    """Probability vector over all configurations in ascending integer order."""
+
+    params: ModelParams
+    probs: tuple
+    source: str  # "solver" or "formula"
+
+    def __post_init__(self) -> None:
+        if self.source not in ("solver", "formula"):
+            raise ParamError(f"source must be 'solver' or 'formula', got {self.source!r}")
+        if len(self.probs) != self.params.n_states:
+            raise DimensionMismatch(
+                f"table length {len(self.probs)} != 2**n = {self.params.n_states}"
+            )
+
+    def prob(self, beta: ConfigLike):
+        return self.probs[Configuration.coerce(beta, self.params.n).code]
+
+    def to_json_dict(self) -> dict:
+        p = self.params
+
+        def _num(x):
+            return str(x) if isinstance(x, Fraction) else float(x)
+
+        return {
+            "n": p.n,
+            "m": p.m,
+            "p1": _num(p.p1),
+            "p2": _num(p.p2),
+            "source": self.source,
+            "probs": [_num(x) for x in self.probs],
+        }
 
 
 # ---- Pattern statistics ----

@@ -33,8 +33,15 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, DomainError, ParamError
-from .model import ConfigLike, Configuration, ModelParams, count_patterns, scalar_step, window_masks
-from .solver import StationaryTable
+from .model import (
+    ConfigLike,
+    Configuration,
+    ModelParams,
+    StationaryTable,
+    count_patterns,
+    scalar_step,
+    window_masks,
+)
 
 __all__ = [
     "HISTOGRAM_AUTO_LIMIT",

@@ -14,28 +14,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    DomainError,
-    NedpcaError,
-    ParamError,
-    SolveFailed,
-)
-from .model import (
-    ConfigLike,
-    Configuration,
-    ModelParams,
-    count_patterns,
-    transition_prob,
-    window_masks,
-)
+from .errors import BudgetExceeded, DimensionMismatch, DomainError, SolveFailed
+from .model import Configuration, ModelParams, StationaryTable, transition_prob, window_masks
 
 __all__ = [
     "FLOAT_CAP",
     "RATIONAL_CAP",
     "TransitionMatrix",
-    "StationaryTable",
     "BalanceAudit",
     "build_matrix",
     "solve_stationary",
@@ -43,8 +28,6 @@ __all__ = [
     "balance_residual",
     "audit_detailed_balance",
     "power_iteration",
-    "reversibility_ratio",
-    "position_pairs",
     "transition_edges",
     "one_directional_pair",
 ]
@@ -77,41 +60,6 @@ class TransitionMatrix:
     @property
     def n_states(self) -> int:
         return self.params.n_states
-
-
-@dataclass(frozen=True, eq=False)
-class StationaryTable:
-    """Probability vector over all configurations in ascending integer order."""
-
-    params: ModelParams
-    probs: tuple
-    source: str  # "solver" or "formula"
-
-    def __post_init__(self) -> None:
-        if self.source not in ("solver", "formula"):
-            raise ParamError(f"source must be 'solver' or 'formula', got {self.source!r}")
-        if len(self.probs) != self.params.n_states:
-            raise DimensionMismatch(
-                f"table length {len(self.probs)} != 2**n = {self.params.n_states}"
-            )
-
-    def prob(self, beta: ConfigLike):
-        return self.probs[Configuration.coerce(beta, self.params.n).code]
-
-    def to_json_dict(self) -> dict:
-        p = self.params
-
-        def _num(x):
-            return str(x) if isinstance(x, Fraction) else float(x)
-
-        return {
-            "n": p.n,
-            "m": p.m,
-            "p1": _num(p.p1),
-            "p2": _num(p.p2),
-            "source": self.source,
-            "probs": [_num(x) for x in self.probs],
-        }
 
 
 @dataclass(frozen=True)
@@ -249,8 +197,9 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     n = matrix.params.n
     p = np.asarray(matrix.entries, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
-    flow = pi[:, None] * p
-    gap = np.abs(flow - flow.T)
+    gap = pi[:, None] * p
+    gap -= gap.T
+    np.abs(gap, out=gap)
     a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
     return BalanceAudit(
         max_violation=float(gap[a, b]),
@@ -273,61 +222,6 @@ def power_iteration(matrix: TransitionMatrix, init: Sequence[float], iters: int)
     for _ in range(iters):
         v = v @ p
     return v
-
-
-# ---- Reversibility ----
-
-
-def position_pairs(config: ConfigLike, a: int, b: int, params: ModelParams) -> frozenset:
-    """0-based ring positions i with value a at site i+1 and b at site i+2."""
-    conf = Configuration.coerce(config, params.n)
-    bits = conf.bits()
-    n = params.n
-    return frozenset(i for i in range(n) if bits[i] == a and bits[(i + 1) % n] == b)
-
-
-def _m2_weight(conf: Configuration, params: ModelParams):
-    # product-form stationary weight, m=2 shape: p1^{N1} ((1-p1)/p2)^{N01}
-    counts = count_patterns(conf, params)
-    return params.p1 ** counts.n1 * ((1 - params.p1) / params.p2) ** counts.n0m1
-
-
-def reversibility_ratio(alpha: ConfigLike, beta: ConfigLike, params: ModelParams) -> float:
-    """The ratio pi(a)P[a->b] / (pi(b)P[b->a]) for the nearest-neighbour model.
-
-    Computed two ways and cross-checked: directly from the product-form
-    weights and the transition law, and through the closed form
-    (p1 p2 / ((1-p1)(1-p2))) ** (|Pos10,01| - |Pos01,10|) built from
-    position-set intersections. Defined for m=2 only.
-
-    Raises:
-        DomainError: if m != 2 or the reverse transition has probability 0.
-        NedpcaError: if the two paths disagree beyond 1e-12 relative.
-    """
-    if params.m != 2:
-        raise DomainError("reversibility_ratio is defined for m=2 only")
-    a = Configuration.coerce(alpha, params.n)
-    b = Configuration.coerce(beta, params.n)
-    p_ba = transition_prob(b, a, params)
-    if p_ba == 0:
-        raise DomainError("reverse transition is impossible; the ratio is undefined")
-    p_ab = transition_prob(a, b, params)
-    direct = float((_m2_weight(a, params) * p_ab) / (_m2_weight(b, params) * p_ba))
-
-    d = len(position_pairs(a, 1, 0, params) & position_pairs(b, 0, 1, params)) - len(
-        position_pairs(a, 0, 1, params) & position_pairs(b, 1, 0, params)
-    )
-    p1, p2 = float(params.p1), float(params.p2)
-    if p2 == 1.0:
-        # the closed-form base degenerates; a feasible reverse transition
-        # forces |Pos10,01| = 0, so the exponent d is never positive here
-        closed = 1.0 if d == 0 else 0.0
-    else:
-        closed = (p1 * p2 / ((1.0 - p1) * (1.0 - p2))) ** d
-    tol = 1e-12 * max(abs(direct), abs(closed), 1.0)
-    if not abs(direct - closed) <= tol:
-        raise NedpcaError(f"ratio paths disagree: direct={direct!r} closed={closed!r} exponent={d}")
-    return direct
 
 
 # ---- Edge enumeration and witnesses ----

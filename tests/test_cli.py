@@ -87,17 +87,19 @@ class TestPartition:
             (("-n", "16", "--p1", "0.3", "--p2", "0.5"), True),
             (("-n", "17", "--p1", "0.3", "--p2", "0.5"), False),
             (("-n", "12", "--p1", "1/3", "--p2", "1/2", "--exact-rational"), True),
+            (("-n", "13", "--p1", "1/3", "--p2", "1/2", "--exact-rational"), True),
+            (("-n", "17", "--p1", "1/3", "--p2", "1/2", "--exact-rational"), False),
         ],
-        ids=["float-n16", "float-n17", "exact-n12"],
+        ids=["float-n16", "float-n17", "exact-n12", "exact-n13", "exact-n17"],
     )
     def test_weight_sum_check_follows_the_table_cap(self, capsys, argv, reported):
-        # exact n = 13 exits 3 before any check: Z itself is capped there
+        # Z and the density have no cap; only the 2**n table behind the check does
         code, out, _ = run_cli(capsys, "partition", "-m", "3", *argv)
         assert code == 0
         gap = json.loads(out)["checks"]["weight_sum_rel_gap"]
         assert (gap is not None) == reported
         if reported:
-            assert gap < 1e-14
+            assert gap == 0.0 if "--exact-rational" in argv else gap < 1e-14
 
     def test_exact_csv(self, capsys):
         code, out, _ = run_cli(
@@ -227,11 +229,12 @@ class TestConfigAndErrors:
         assert code == 2
 
     def test_budget_exit(self, capsys):
+        # the exact oracle solves a 2**n Fraction system, capped at n = 8
         code, _, err = run_cli(
-            capsys, "partition", "-n", "20", "-m", "2", "--p1", "1/3", "--p2", "1/2",
+            capsys, "exact", "-n", "9", "-m", "2", "--p1", "1/3", "--p2", "1/2",
             "--exact-rational",
         )
-        assert code == 3 and "capped" in err
+        assert code == 3 and "cap" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "z.json"

@@ -1,4 +1,5 @@
-"""Stationary weights, the combinatorial partition sum, and the density formula.
+"""Stationary weights, the combinatorial partition sum, the density formula, and
+the m = 2 reversibility ratio.
 
 The strongest checks here are census properties: the enumerated weight
 classes must tile the whole configuration space, so their multiplicities
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from nedpca import closedforms
 from nedpca import (
-    BudgetExceeded,
+    Configuration,
+    DomainError,
     ModelParams,
     ParamError,
     count_patterns,
@@ -21,8 +23,11 @@ from nedpca import (
     enumerate_compositions,
     enumerate_index_pairs,
     partition_formula,
+    position_pairs,
+    reversibility_ratio,
     stationary_table_formula,
     stationary_weight,
+    transition_prob,
     weight_terms,
     z2_log_recurrence,
     z2_recurrence,
@@ -162,10 +167,6 @@ class TestPartitionFormula:
         assert partition_formula(params) == brute
         assert density_formula(params) == sum(weights[1::2]) / brute  # odd codes occupy site 1
 
-    def test_rational_cap(self):
-        with pytest.raises(BudgetExceeded):
-            partition_formula(ModelParams(13, 2, Fraction(1, 3), Fraction(1, 2)))
-
     def test_overflow_raises(self):
         # p2^-N overflows a float; the sums must not come back as inf
         params = ModelParams(6, 2, 0.5, 1e-300)
@@ -214,11 +215,21 @@ class TestRenewal:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_exact_equals_paper_sum(self, m):
-        for n in range(m, 13):
+        # past n = 12 too: exact Z and density have no cap, as the renewal
+        # builds no 2**n table
+        for n in range(m, 17):
             params = ModelParams(n, m, Fraction(2, 7), Fraction(3, 5))
             z, occupied = _paper_sum(params)
             assert partition_formula(params) == z
             assert density_formula(params) == occupied / z
+
+    def test_exact_matches_float_at_large_n(self):
+        exact = ModelParams(120, 5, Fraction(1, 4), Fraction(1, 2))
+        approx = ModelParams(120, 5, 0.25, 0.5)
+        assert float(partition_formula(exact)) == pytest.approx(
+            partition_formula(approx), rel=1e-13
+        )
+        assert float(density_formula(exact)) == pytest.approx(density_formula(approx), rel=1e-13)
 
     @pytest.mark.parametrize("n, m", SCAN_SHAPES, ids=str)
     def test_float_equals_paper_sum(self, n, m):
@@ -306,3 +317,51 @@ class TestStationaryTableFormula:
         for code in range(params.n_states):
             expected = stationary_weight(code, params) / z
             assert table.probs[code] == pytest.approx(expected, rel=1e-12)
+
+
+class TestReversibilityRatio:
+    def test_position_pairs(self):
+        params = ModelParams(4, 2, 0.3, 0.5)
+        conf = Configuration.from_string("0100")
+        assert position_pairs(conf, 1, 0, params) == {1}  # 0-based site index
+        assert position_pairs(conf, 0, 1, params) == {0}
+
+    def test_known_ratio(self):
+        # one extra aligned 10/01 pair tilts the ratio to p1 p2 / ((1-p1)(1-p2))
+        params = ModelParams(4, 2, 0.3, 0.5)
+        r = reversibility_ratio("0100", "0010", params)
+        assert r == pytest.approx((0.3 * 0.5) / (0.7 * 0.5))
+
+    def test_balanced_line_gives_unit_ratio(self):
+        params = ModelParams(4, 2, 0.3, 0.7)
+        assert reversibility_ratio("0100", "0010", params) == pytest.approx(1.0)
+
+    def test_certain_evaporation_boundary(self):
+        params = ModelParams(4, 2, 0.3, 1.0)
+        assert reversibility_ratio("0000", "1000", params) == pytest.approx(1.0)
+
+    def test_rejects_wider_windows(self):
+        with pytest.raises(DomainError):
+            reversibility_ratio("0100", "0010", ModelParams(4, 3, 0.3, 0.5))
+
+    def test_rejects_unreachable_reverse(self):
+        params = ModelParams(4, 2, 0.3, 1.0)
+        # 0101 -> 1010 cannot be reversed when evaporation is certain
+        with pytest.raises(DomainError):
+            reversibility_ratio("0101", "1010", params)
+
+    @given(
+        st.integers(3, 6),
+        st.integers(0, 2**6 - 1),
+        st.integers(0, 2**6 - 1),
+        st.floats(0.1, 0.9),
+        st.floats(0.1, 0.9),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_tracks_direct_quotient(self, n, a, b, p1, p2):
+        params = ModelParams(n, 2, p1, p2)
+        alpha, beta = a & (params.n_states - 1), b & (params.n_states - 1)
+        if transition_prob(beta, alpha, params) == 0:
+            return
+        # the in-function assertion compares the pattern-count form to the quotient
+        reversibility_ratio(alpha, beta, params)

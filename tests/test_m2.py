@@ -131,6 +131,20 @@ class TestFreeEnergy:
             if 0.0 < p2 <= 1.0:
                 assert abs(free_energy(p1, p2) - base) < 1e-4
 
+    @pytest.mark.parametrize("p1", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_accurate_near_balanced_line(self, p1):
+        # the textbook closed form is 0/0 on p1 + p2 = 1; at 60 digits the
+        # reference shows any digits the float evaluation cancels away
+        for offset in (10.0**-e for e in range(2, 13)):
+            for p2 in (1.0 - p1 + offset, 1.0 - p1 - offset):
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    a, b = Decimal(p1), Decimal(p2)
+                    radicand = b * (1 - a) * (4 * a + b - a * b)
+                    exact = ((b * (1 + a) + radicand.sqrt()) / (2 * b)).ln()
+                    gap = abs(Decimal(free_energy(p1, p2)) - exact)
+                assert gap < Decimal("1e-15"), (p1, p2)
+
     @given(probs)
     @settings(max_examples=60, deadline=None)
     def test_equals_growth_rate(self, pq):

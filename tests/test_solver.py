@@ -18,9 +18,7 @@ from nedpca import (
     build_matrix,
     check_irreducible_aperiodic,
     one_directional_pair,
-    position_pairs,
     power_iteration,
-    reversibility_ratio,
     solve_stationary,
     stationary_table_formula,
     transition_edges,
@@ -164,54 +162,6 @@ class TestBalanceAudits:
         table = solve_stationary(build_matrix(ModelParams(5, 2, 0.3, 0.5)))
         with pytest.raises(DimensionMismatch):
             balance_residual(table, matrix)
-
-
-class TestReversibilityRatio:
-    def test_position_pairs(self):
-        params = ModelParams(4, 2, 0.3, 0.5)
-        conf = Configuration.from_string("0100")
-        assert position_pairs(conf, 1, 0, params) == {1}  # 0-based site index
-        assert position_pairs(conf, 0, 1, params) == {0}
-
-    def test_known_ratio(self):
-        # one extra aligned 10/01 pair tilts the ratio to p1 p2 / ((1-p1)(1-p2))
-        params = ModelParams(4, 2, 0.3, 0.5)
-        r = reversibility_ratio("0100", "0010", params)
-        assert r == pytest.approx((0.3 * 0.5) / (0.7 * 0.5))
-
-    def test_balanced_line_gives_unit_ratio(self):
-        params = ModelParams(4, 2, 0.3, 0.7)
-        assert reversibility_ratio("0100", "0010", params) == pytest.approx(1.0)
-
-    def test_certain_evaporation_boundary(self):
-        params = ModelParams(4, 2, 0.3, 1.0)
-        assert reversibility_ratio("0000", "1000", params) == pytest.approx(1.0)
-
-    def test_rejects_wider_windows(self):
-        with pytest.raises(DomainError):
-            reversibility_ratio("0100", "0010", ModelParams(4, 3, 0.3, 0.5))
-
-    def test_rejects_unreachable_reverse(self):
-        params = ModelParams(4, 2, 0.3, 1.0)
-        # 0101 -> 1010 cannot be reversed when evaporation is certain
-        with pytest.raises(DomainError):
-            reversibility_ratio("0101", "1010", params)
-
-    @given(
-        st.integers(3, 6),
-        st.integers(0, 2**6 - 1),
-        st.integers(0, 2**6 - 1),
-        st.floats(0.1, 0.9),
-        st.floats(0.1, 0.9),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_closed_form_tracks_direct_quotient(self, n, a, b, p1, p2):
-        params = ModelParams(n, 2, p1, p2)
-        alpha, beta = a & (params.n_states - 1), b & (params.n_states - 1)
-        if transition_prob(beta, alpha, params) == 0:
-            return
-        # the in-function assertion compares the pattern-count form to the quotient
-        reversibility_ratio(alpha, beta, params)
 
 
 class TestStructureHelpers:
