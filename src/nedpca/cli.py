@@ -9,19 +9,21 @@ Subcommands:
 
 Probabilities accept either decimals (0.3) or fractions (3/10); with
 --exact-rational all arithmetic runs over exact rationals where supported.
-Any option can also come from a --config file of `key = value` lines, with
-command-line flags taking precedence. Exit codes: 0 success, 1 failed
-verification, 2 bad parameters or domain errors, 3 refused resource budgets.
+Any option of a subcommand, --out included, can also come from a --config
+file of `key = value` lines keyed by the long option (`trace_path` for --trace,
+`full` for verify); flags take precedence, and options set nowhere take the
+library's defaults. Exit codes: 0 success, 1 failed verification,
+2 bad parameters or domain errors, 3 refused resource budgets.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Optional
 
 from . import m2 as m2mod
@@ -71,39 +73,39 @@ def _parse_bool(text: str) -> bool:
 
 
 def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParamError(f"cannot read config {path}: {exc.strerror}") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParamError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParamError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
-def _resolve(args: argparse.Namespace, spec: list) -> SimpleNamespace:
-    """Merge CLI flags over --config values over defaults; cast config strings."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for dest, cast, default in spec:
-        value = getattr(args, dest, None)
-        if value is None and dest in config:
-            value = cast(config[dest])
-        if value is None:
-            value = default
-        out[dest] = value
-    unknown = set(config) - {dest for dest, _, _ in spec}
+def _install_config(subparser: argparse.ArgumentParser, config: dict) -> None:
+    """Make config values the sub-parser's defaults, so flags still win. argparse
+    casts a string default by its action's type; argument-less flags get booleans."""
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
+    unknown = set(config) - set(actions)
     if unknown:
         raise ParamError(f"unknown config keys: {sorted(unknown)}")
-    return SimpleNamespace(**out)
+    subparser.set_defaults(**{
+        key: _parse_bool(value) if actions[key].nargs == 0 else value
+        for key, value in config.items()
+    })
 
 
-def _require(ns: SimpleNamespace, *names: str) -> None:
+def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
-        if getattr(ns, name) is None:
+        if getattr(args, name) is None:
             raise ParamError(f"missing required option --{name.replace('_', '-')}")
 
 
@@ -117,39 +119,25 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _model_params(ns: SimpleNamespace) -> ModelParams:
-    _require(ns, "n", "m", "p1", "p2")
-    p1, p2 = ns.p1, ns.p2
-    if getattr(ns, "exact_rational", False):
-        p1 = p1 if isinstance(p1, Fraction) else Fraction(str(p1))
-        p2 = p2 if isinstance(p2, Fraction) else Fraction(str(p2))
-    return ModelParams(ns.n, ns.m, p1, p2)
-
-
-_PARAM_SPEC = [
-    ("n", int, None),
-    ("m", int, None),
-    ("p1", _parse_prob, None),
-    ("p2", _parse_prob, None),
-    ("exact_rational", _parse_bool, False),
-]
+def _model_params(args: argparse.Namespace) -> ModelParams:
+    _require(args, "n", "m", "p1", "p2")
+    p1, p2 = args.p1, args.p2
+    if getattr(args, "exact_rational", False):
+        p1, p2 = Fraction(str(p1)), Fraction(str(p2))
+    return ModelParams(args.n, args.m, p1, p2)
 
 
 # ---- exact ----
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    ns = _resolve(
-        args,
-        _PARAM_SPEC + [("csv", _parse_bool, False), ("edges", _parse_bool, False)],
-    )
-    params = _model_params(ns)
+    params = _model_params(args)
     matrix = build_matrix(params)
     solved = solve_stationary(matrix)
     formula = stationary_table_formula(params)
 
     lines = []
-    if ns.csv:
+    if args.csv:
         lines.append("config,formula,solver")
         for code in range(params.n_states):
             conf = Configuration(code, params.n)
@@ -179,7 +167,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             f"detailed balance: max violation {audit.max_violation:.3e}"
             f" at {audit.witness[0]} -> {audit.witness[1]} ({verdict})",
         ]
-    if ns.edges:
+    if args.edges:
         lines.append("alpha,beta,prob")
         for alpha, beta, prob in transition_edges(params):
             lines.append(f"{alpha},{beta},{prob!r}")
@@ -191,12 +179,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_partition(args: argparse.Namespace) -> int:
-    ns = _resolve(args, _PARAM_SPEC + [("csv", _parse_bool, False)])
-    params = _model_params(ns)
+    params = _model_params(args)
     z = partition_formula(params)
     rho = density_formula(params)
 
-    if ns.csv:
+    if args.csv:
         text = "n,m,p1,p2,Z,density\n" + ",".join(
             [str(params.n), str(params.m), _fmt(params.p1), _fmt(params.p2), _fmt(z), _fmt(rho)]
         )
@@ -230,40 +217,19 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    ns = _resolve(
-        args,
-        _PARAM_SPEC
-        + [
-            ("seed", int, 0),
-            ("samples", int, None),
-            ("chains", int, 1),
-            ("burn_in", int, 10_000),
-            ("thin", int, 1),
-            ("start", str, "zeros"),
-            ("kernel", str, "bitparallel"),
-            ("histogram", _parse_bool, None),
-            ("trace", str, None),
-            ("tv", _parse_bool, False),
-        ],
-    )
-    params = _model_params(ns)
-    _require(ns, "samples")
-    plan = SimulationPlan(
-        params=params,
-        seed=ns.seed,
-        samples=ns.samples,
-        chains=ns.chains,
-        burn_in=ns.burn_in,
-        thin=ns.thin,
-        start=ns.start,
-        kernel=ns.kernel,
-        histogram=ns.histogram,
-        trace_path=ns.trace,
-    )
+    params = _model_params(args)
+    _require(args, "samples")
+    fields = {f.name for f in dataclasses.fields(SimulationPlan)}
+    given = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    plan = SimulationPlan(params=params, **given)
+    if args.tv:
+        # refuse --tv before the chains run, not after
+        exact = solve_stationary(build_matrix(params))
+        if not plan.histogram_enabled:
+            raise ParamError("summary carries no histogram; rerun with histogram=True")
     summary = run_simulation(plan)
     payload = summary.to_json_dict()
-    if ns.tv:
-        exact = solve_stationary(build_matrix(params))
+    if args.tv:
         payload["tv_distance"] = tv_distance(summary, exact)
     _emit(json.dumps(payload, indent=2), args.out)
     return 0
@@ -273,33 +239,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_m2(args: argparse.Namespace) -> int:
-    ns = _resolve(
-        args,
-        [
-            ("p1", _parse_prob, None),
-            ("p2", _parse_prob, None),
-            ("grid", int, None),
-            ("p_lo", float, 0.02),
-            ("p_hi", float, 0.98),
-            ("series", int, None),
-        ],
-    )
-    if ns.grid is not None and ns.series is not None:
+    if args.grid is not None and args.series is not None:
         raise ParamError("--grid and --series are mutually exclusive")
 
-    if ns.grid is not None:
-        rows = m2mod.free_energy_grid(ns.grid, ns.p_lo, ns.p_hi)
+    if args.grid is not None:
+        bounds = {k: v for k, v in (("lo", args.p_lo), ("hi", args.p_hi)) if v is not None}
+        rows = m2mod.free_energy_grid(args.grid, **bounds)
         text = "p1,p2,F\n" + "\n".join(
             f"{p1!r},{p2!r},{f!r}" for p1, p2, f in rows
         )
         _emit(text, args.out)
         return 0
 
-    _require(ns, "p1", "p2")
-    p1, p2 = float(ns.p1), float(ns.p2)
+    _require(args, "p1", "p2")
+    p1, p2 = float(args.p1), float(args.p2)
 
-    if ns.series is not None:
-        zs = m2mod.z2_recurrence(ns.series, p1, p2)
+    if args.series is not None:
+        zs = m2mod.z2_recurrence(args.series, p1, p2)
         bad = [n for n, z in enumerate(zs) if not math.isfinite(z)]
         if bad:
             raise DomainError(f"Z_{bad[0]} overflows a float at p1={p1!r}, p2={p2!r}")
@@ -369,28 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
         "exact", parents=[common], help="exact stationary law and cross-checks"
     )
     add_params(p_exact)
-    p_exact.add_argument(
-        "--exact-rational", action="store_true", default=None, help="exact Fraction arithmetic"
-    )
-    p_exact.add_argument(
-        "--csv", action="store_true", default=None, help="per-configuration table as CSV"
-    )
-    p_exact.add_argument(
-        "--edges", action="store_true", default=None, help="append the transition edge list"
-    )
-    p_exact.set_defaults(func=cmd_exact)
+    p_exact.add_argument("--exact-rational", action="store_true", help="exact Fraction arithmetic")
+    p_exact.add_argument("--csv", action="store_true", help="per-configuration table as CSV")
+    p_exact.add_argument("--edges", action="store_true", help="append the transition edge list")
+    p_exact.set_defaults(subparser=p_exact, func=cmd_exact)
 
-    p_part = sub.add_parser(
-        "partition", parents=[common], help="partition function and density"
-    )
+    p_part = sub.add_parser("partition", parents=[common], help="partition function and density")
     add_params(p_part)
-    p_part.add_argument("--exact-rational", action="store_true", default=None)
-    p_part.add_argument("--csv", action="store_true", default=None, help="one CSV row")
-    p_part.set_defaults(func=cmd_partition)
+    p_part.add_argument("--exact-rational", action="store_true")
+    p_part.add_argument("--csv", action="store_true", help="one CSV row")
+    p_part.set_defaults(subparser=p_part, func=cmd_partition)
 
     p_sim = sub.add_parser("simulate", parents=[common], help="Monte Carlo sampling")
     add_params(p_sim)
-    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--samples", type=int, help="retained samples per chain")
     p_sim.add_argument("--chains", type=int)
     p_sim.add_argument("--burn-in", type=int, dest="burn_in")
@@ -401,12 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--histogram", action=argparse.BooleanOptionalAction, default=None,
         help="force state histogram on/off",
     )
-    p_sim.add_argument("--trace", metavar="FILE", help="write sampled configurations here")
     p_sim.add_argument(
-        "--tv", action="store_true", default=None,
+        "--trace", dest="trace_path", metavar="FILE", help="write sampled configurations here"
+    )
+    p_sim.add_argument(
+        "--tv", action="store_true",
         help="add total variation distance to the exact stationary law",
     )
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(subparser=p_sim, func=cmd_simulate)
 
     p_m2 = sub.add_parser("m2", parents=[common], help="nearest-neighbour analytics")
     add_params(p_m2, with_nm=False)
@@ -414,19 +364,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_m2.add_argument("--p-lo", type=float, dest="p_lo")
     p_m2.add_argument("--p-hi", type=float, dest="p_hi")
     p_m2.add_argument("--series", type=int, metavar="N", help="CSV of Z_0..Z_N by recurrence")
-    p_m2.set_defaults(func=cmd_m2)
+    p_m2.set_defaults(subparser=p_m2, func=cmd_m2)
 
     p_ver = sub.add_parser("verify", parents=[common], help="acceptance checks")
-    p_ver.add_argument("--quick", action="store_true", help="reduced grids (default)")
-    p_ver.add_argument("--full", action="store_true", help="full acceptance grids")
-    p_ver.set_defaults(func=cmd_verify)
+    level = p_ver.add_mutually_exclusive_group()
+    level.add_argument("--quick", action="store_false", dest="full", help="reduced grids (default)")
+    level.add_argument("--full", action="store_true", help="full acceptance grids")
+    p_ver.set_defaults(subparser=p_ver, func=cmd_verify, full=False)
 
     return parser
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            _install_config(args.subparser, _load_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -227,11 +227,11 @@ def power_iteration(matrix: TransitionMatrix, init: Sequence[float], iters: int)
 # ---- Edge enumeration and witnesses ----
 
 
-def transition_edges(params: ModelParams, threshold: float = 0.0) -> list[tuple[str, str, float]]:
+def transition_edges(params: ModelParams) -> list[tuple[str, str, float]]:
     """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings."""
     p = np.asarray(build_matrix(params).entries, dtype=float)
     names = [Configuration(code, params.n).to_string() for code in range(params.n_states)]
-    src, dst = np.nonzero(p > threshold)
+    src, dst = np.nonzero(p > 0)
     return [(names[a], names[b], float(p[a, b])) for a, b in zip(src.tolist(), dst.tolist())]
 
 

@@ -5,7 +5,10 @@ import re
 
 import pytest
 
-from nedpca.cli import main
+import nedpca.acceptance
+import nedpca.cli
+from nedpca import ModelParams, SimulationPlan, free_energy_grid, run
+from nedpca.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +149,34 @@ class TestSimulate:
         del a["steps_per_second"], b["steps_per_second"]
         assert a == b
 
+    def test_unset_options_take_the_plan_defaults(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "simulate", "-n", "5", "-m", "2", "--p1", "0.3", "--p2", "0.5",
+            "--samples", "2000",
+        )
+        plan = SimulationPlan(ModelParams(5, 2, 0.3, 0.5), seed=0, samples=2000)
+        expected = json.loads(json.dumps(run(plan).to_json_dict()))
+        got = json.loads(out)
+        del got["steps_per_second"], expected["steps_per_second"]
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("-n", "17", "--samples", "100000"), 3, "cap"),
+            (("-n", "6", "--samples", "300000", "--no-histogram"), 2, "no histogram"),
+        ],
+        ids=["no-exact-table", "no-histogram"],
+    )
+    def test_tv_refused_before_sampling(self, capsys, monkeypatch, argv, code, message):
+        calls = []
+        monkeypatch.setattr(nedpca.cli, "run_simulation", calls.append)
+        got, out, err = run_cli(
+            capsys, "simulate", "-m", "3", "--p1", "0.3", "--p2", "0.5", "--tv", *argv
+        )
+        assert (got, out, calls) == (code, "", [])
+        assert err.startswith("error: ") and message in err
+
 
 class TestM2:
     def test_point_payload(self, capsys):
@@ -167,6 +198,11 @@ class TestM2:
         lines = out.strip().splitlines()
         assert lines[0] == "p1,p2,F"
         assert len(lines) == 17
+
+    def test_grid_defaults_to_the_library_bounds(self, capsys):
+        _, out, _ = run_cli(capsys, "m2", "--grid", "3")
+        rows = [f"{p1!r},{p2!r},{f!r}" for p1, p2, f in free_energy_grid(3)]
+        assert out == "\n".join(["p1,p2,F"] + rows) + "\n"
 
     def test_series_csv(self, capsys):
         code, out, _ = run_cli(
@@ -218,6 +254,42 @@ class TestConfigAndErrors:
         )
         assert code == 2 and "bogus" in err
 
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("exact", {"n", "m", "p1", "p2", "exact_rational", "csv", "edges"}),
+            ("partition", {"n", "m", "p1", "p2", "exact_rational", "csv"}),
+            ("simulate", {"n", "m", "p1", "p2", "seed", "samples", "chains", "burn_in",
+                          "thin", "start", "kernel", "histogram", "trace_path", "tv"}),
+            ("m2", {"p1", "p2", "grid", "p_lo", "p_hi", "series"}),
+            ("verify", {"full"}),
+        ],
+    )
+    def test_config_keys_are_the_option_dests(self, capsys, tmp_path, command, keys):
+        keys = keys | {"out"}
+        subparser = build_parser().parse_args([command]).subparser
+        dests = {a.dest for a in subparser._actions if a.option_strings}
+        assert dests - {"help", "config"} == keys
+        conf = tmp_path / "run.conf"
+        conf.write_text("".join(f"{key} = 1\n" for key in sorted(keys | {"bogus"})))
+        code, _, err = run_cli(capsys, command, "--config", str(conf))
+        assert code == 2 and "unknown config keys: ['bogus']" in err
+
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "exact", "--config", str(tmp_path / "absent.conf")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_from_config(self, capsys, tmp_path):
+        target = tmp_path / "z.json"
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"n = 4\nm = 2\np1 = 0.3\np2 = 0.5\nout = {target}\n")
+        code, out, _ = run_cli(capsys, "partition", "--config", str(conf))
+        assert code == 0 and out == ""
+        assert json.loads(target.read_text())["n"] == 4
+
     def test_missing_required(self, capsys):
         code, _, err = run_cli(capsys, "exact", "-n", "4", "-m", "2", "--p1", "0.3")
         assert code == 2 and "--p2" in err
@@ -258,3 +330,20 @@ class TestVerify:
         # the exit code must mirror the verdict line
         assert (code == 0) == (match.group(1) == "PASS")
         assert (match.group(2) == "10") == (match.group(1) == "PASS")
+
+    def test_config_selects_the_full_level(self, capsys, monkeypatch, tmp_path):
+        levels = []
+        monkeypatch.setattr(nedpca.acceptance, "run_level", lambda level: levels.append(level) or [])
+        conf = tmp_path / "run.conf"
+        conf.write_text("full = true\n")
+        code, out, _ = run_cli(capsys, "verify", "--config", str(conf))
+        assert (code, levels) == (0, ["full"])
+        assert out.endswith("criteria passed (full)\n")
+        run_cli(capsys, "verify", "--config", str(conf), "--quick")
+        assert levels == ["full", "quick"]
+
+    def test_quick_and_full_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--quick", "--full"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -94,3 +95,25 @@ def test_oracle_never_weighs_configurations():
         elif isinstance(node, ast.ImportFrom):
             names.update(a.name for a in node.names)
     assert names & {"count_patterns", "stationary_weight"} == set()
+
+
+def test_bench_calls_only_the_public_api():
+    # bench/test_smoke.py is too slow for tier-1, so check here that every name
+    # the benchmark imports and every SimulationPlan keyword it passes still exist
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "nedpca"
+        for a in node.names
+    }
+    keywords = {
+        kw.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SimulationPlan"
+        for kw in node.keywords
+    }
+    assert imported and keywords
+    assert imported - set(nedpca.__all__) == set()
+    assert keywords - {f.name for f in dataclasses.fields(nedpca.SimulationPlan)} == set()
