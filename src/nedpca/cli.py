@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--chains", type=int)
     p_sim.add_argument("--burn-in", type=int, dest="burn_in")
     p_sim.add_argument("--thin", type=int)
-    p_sim.add_argument("--start", help="'zeros', 'ones', or a configuration string")
+    p_sim.add_argument("--start", help="'zeros', 'ones', or a bit string, site 1 leftmost")
     p_sim.add_argument("--kernel", choices=("bitparallel", "scalar"))
     p_sim.add_argument(
         "--histogram", action=argparse.BooleanOptionalAction, default=None,
@@ -396,3 +396,7 @@ def main(argv: Optional[list] = None) -> int:
 
 def main_entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -39,6 +39,7 @@ __all__ = [
     "SiteWindow",
     "StationaryTable",
     "count_patterns",
+    "pattern_totals",
     "classify_window",
     "site_update_prob",
     "transition_prob",
@@ -227,6 +228,31 @@ class PatternCounts:
         return sum((r + 1) * c for r, c in enumerate(self.n10r1)) + (self.m - 1) * self.n0m1
 
 
+def pattern_totals(codes: Sequence[int], params: ModelParams) -> list[int]:
+    """[n1, *n10r1, n0m1] summed over integer codes, as count_patterns defines them.
+
+    Each code is written twice over (c | c << n) into its own byte-aligned
+    field of one integer, so every cyclic window that starts at one of the n
+    sites reads forward without wrapping; a right shift then moves every
+    window of every code at once. Costs O(m) big-integer operations for the
+    whole list (multi-spin coding, Jacobs & Rebbi 1981).
+    """
+    n, m = params.n, params.m
+    field = (2 * n + 7) // 8  # bytes per code
+    packed = int.from_bytes(b"".join(c.to_bytes(field, "little") for c in codes), "little")
+    doubled = packed | packed << n
+    zeros = ~doubled & ((1 << 8 * field * len(codes)) - 1)
+    # zero_run holds, at bit i of each field, whether sites i+1 .. i+r are all
+    # empty; starting it as each field's n window starts masks every count
+    zero_run = int.from_bytes(((1 << n) - 1).to_bytes(field, "little") * len(codes), "little")
+    totals = [packed.bit_count()]
+    for r in range(1, m - 1):
+        zero_run &= zeros >> r
+        totals.append((doubled & zero_run & doubled >> (r + 1)).bit_count())
+    totals.append((zeros & zero_run & doubled >> (m - 1)).bit_count())
+    return totals
+
+
 def count_patterns(beta: ConfigLike, params: ModelParams) -> PatternCounts:
     """Count the cyclic patterns 1, 1 0^r 1, and 0^{m-1} 1 in a configuration.
 
@@ -237,20 +263,8 @@ def count_patterns(beta: ConfigLike, params: ModelParams) -> PatternCounts:
     Returns:
         PatternCounts with all windows evaluated cyclically.
     """
-    conf = Configuration.coerce(beta, params.n)
-    n, m = params.n, params.m
-    code = conf.code
-    mask = (1 << n) - 1
-    zeros = ~code & mask
-
-    n10r1 = []
-    # zero_run holds, at bit i, whether sites i+1 .. i+r are all empty
-    zero_run = mask
-    for r in range(1, m - 1):
-        zero_run &= ror(zeros, r, n)
-        n10r1.append((code & zero_run & ror(code, r + 1, n)).bit_count())
-    blocked = zeros & zero_run & ror(code, m - 1, n)
-    return PatternCounts(code.bit_count(), tuple(n10r1), blocked.bit_count())
+    n1, *n10r1, n0m1 = pattern_totals([Configuration.coerce(beta, params.n).code], params)
+    return PatternCounts(n1, tuple(n10r1), n0m1)
 
 
 # ---- Window classification and site law ----

@@ -38,7 +38,7 @@ from .model import (
     Configuration,
     ModelParams,
     StationaryTable,
-    count_patterns,
+    pattern_totals,
     scalar_step,
     window_masks,
 )
@@ -223,22 +223,12 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _pattern_sums(weighted_codes, params: ModelParams) -> list[int]:
-    """[n1, *n10r1, n0m1] summed over (code, multiplicity) pairs."""
-    sums = [0] * params.m
-    for code, c in weighted_codes:
-        pc = count_patterns(code, params)
-        for i, x in enumerate((pc.n1, *pc.n10r1, pc.n0m1)):
-            sums[i] += c * x
-    return sums
-
-
 @dataclass
 class _ChainResult:
     batch_ones: list
     batch_sizes: list
     histogram: Optional[np.ndarray]
-    pattern_sums: list  # as _pattern_sums; left at zero when the histogram is on
+    pattern_sums: list  # as pattern_totals, over the chain's retained samples
     trace: Optional[list]
 
 
@@ -267,16 +257,19 @@ def _run_chain(
         code = trajectory[-1]
         kept = trajectory[max(first - done, (first - done) % plan.thin) :: plan.thin]
         done += len(trajectory)
-        for c in kept:
-            b = retained * _NUM_BATCHES // plan.samples
-            batch_ones[b] += c.bit_count()
-            batch_sizes[b] += 1
-            retained += 1
+        ones = [c.bit_count() for c in kept]
+        i = 0
+        while i < len(ones):
+            # sample j falls in batch j * _NUM_BATCHES // samples; end starts the next batch
+            b = (retained + i) * _NUM_BATCHES // plan.samples
+            end = min(len(ones), -(-(b + 1) * plan.samples // _NUM_BATCHES) - retained)
+            batch_ones[b] += sum(ones[i:end])
+            batch_sizes[b] += end - i
+            i = end
+        retained += len(ones)
+        pattern_sums = [x + y for x, y in zip(pattern_sums, pattern_totals(kept, params))]
         if hist is not None:
             hist += np.bincount(np.asarray(kept, dtype=np.int64), minlength=params.n_states)
-        else:
-            chunk_sums = _pattern_sums(((c, 1) for c in kept), params)
-            pattern_sums = [a + b for a, b in zip(pattern_sums, chunk_sums)]
         if trace is not None:
             trace.extend(Configuration(c, n).to_string() for c in kept[: TRACE_CAP - len(trace)])
     return _ChainResult(batch_ones, batch_sizes, hist, pattern_sums, trace)
@@ -325,10 +318,7 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
         density_stderr = float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
 
     hist = sum(r.histogram for r in results) if plan.histogram_enabled else None
-    if hist is not None:
-        sums = _pattern_sums(((int(c), int(hist[c])) for c in np.flatnonzero(hist)), params)
-    else:
-        sums = [sum(col) for col in zip(*(r.pattern_sums for r in results))]
+    sums = [sum(col) for col in zip(*(r.pattern_sums for r in results))]
     means = [x / denom if denom else nan for x in sums]
     pattern_means = {"n1": means[0], "n10r1": tuple(means[1:-1]), "n0m1": means[-1]}
 
@@ -369,19 +359,8 @@ def tv_distance(summary: EmpiricalSummary, table: StationaryTable) -> float:
 def kernel_throughput(
     params: ModelParams, kernel: str, steps: int, seed: int = 0
 ) -> float:
-    """Steps per second of a bare sampling loop with no accumulation."""
-    if kernel not in _KERNELS:
-        raise ParamError(f"kernel must be one of {_KERNELS}, got {kernel!r}")
+    """Steps per second of one chain that retains no samples: burn-in only."""
     if steps < 1:
         raise ParamError(f"need steps >= 1, got {steps}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    rows = max(1, _CHUNK_DOUBLES // params.n)
-    code = 0
-    done = 0
-    t0 = time.perf_counter()
-    while done < steps:
-        chunk = min(rows, steps - done)
-        code = _advance(code, params, rng.random((chunk, params.n)), kernel)[-1]
-        done += chunk
-    elapsed = time.perf_counter() - t0
-    return steps / elapsed if elapsed > 0 else float("inf")
+    plan = SimulationPlan(params, seed, samples=0, burn_in=steps, kernel=kernel, histogram=False)
+    return run(plan).steps_per_second

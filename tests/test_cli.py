@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, config files, output formats, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +164,18 @@ class TestSimulate:
         del got["steps_per_second"], expected["steps_per_second"]
         assert got == expected
 
+    def test_start_takes_a_bit_string_not_an_integer_code(self, capsys, monkeypatch):
+        plans = []
+        monkeypatch.setattr(
+            nedpca.cli, "run_simulation", lambda plan: plans.append(plan) or run(plan)
+        )
+        argv = ("simulate", "-n", "4", "-m", "2", "--p1", "0.3", "--p2", "0.5", "--samples", "10")
+        code, _, _ = run_cli(capsys, *argv, "--start", "0110")
+        assert code == 0 and plans[0].start_code == 6  # sites 2 and 3
+        code, out, err = run_cli(capsys, *argv, "--start", "17")
+        assert (code, out, len(plans)) == (2, "", 1)
+        assert "0/1" in err
+
     @pytest.mark.parametrize(
         "argv, code, message",
         [
@@ -316,6 +332,21 @@ class TestConfigAndErrors:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["n"] == 4
+
+
+class TestModuleEntry:
+    def test_python_m_runs_the_cli(self):
+        src = str(Path(nedpca.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-m", "nedpca.cli", "exact", "-n", "3", "-m", "2",
+             "--p1", "0.3", "--p2", "0.5"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("n=3 m=2 p1=0.3 p2=0.5 mode=float\n")
+        assert "states: 8" in done.stdout
 
 
 class TestVerify:

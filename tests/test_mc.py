@@ -28,6 +28,7 @@ from nedpca import (
     tv_distance,
 )
 from nedpca import montecarlo
+from test_model import naive_counts
 
 P635 = ModelParams(6, 3, 0.3, 0.5)
 
@@ -212,13 +213,30 @@ class TestHistogramMemory:
 
 class TestEstimates:
     def test_histogram_and_direct_pattern_paths_agree(self):
-        # small state space counts patterns via the histogram; forcing the
-        # histogram off must not change the merged means
+        # every chain counts patterns the same way whether or not it keeps a
+        # histogram; the flag must stay invisible in the merged means
         a = run(make_plan(samples=3000))
         b = run(make_plan(samples=3000, histogram=False))
         assert b.histogram is None
         assert a.pattern_means == b.pattern_means
         assert a.density_mean == b.density_mean
+
+    @pytest.mark.parametrize("n, histogram", [(6, True), (70, False)])
+    def test_pattern_means_match_an_independent_count(self, tmp_path, n, histogram):
+        path = tmp_path / "trace.txt"
+        plan = SimulationPlan(
+            params=ModelParams(n, 4, 0.3, 0.5), seed=9, samples=1500, burn_in=20,
+            histogram=histogram, trace_path=str(path),
+        )
+        summary = run(plan)
+        sums = [0] * 4
+        for line in path.read_text().splitlines():
+            n1, inner, blocked = naive_counts(tuple(int(ch) for ch in line), 4)
+            sums = [a + b for a, b in zip(sums, (n1, *inner, blocked))]
+        means = summary.pattern_means
+        assert (summary.histogram is None) == (not histogram)
+        assert [means["n1"], *means["n10r1"], means["n0m1"]] == [x / (1500 * n) for x in sums]
+        assert 0 not in sums
 
     def test_against_exact_law(self):
         summary = run(make_plan(samples=60_000, seed=12))

@@ -1,6 +1,7 @@
 """Model primitives: parameters, configurations, pattern counting, single steps."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from nedpca import (
     transition_prob,
     window_masks,
 )
+from nedpca.model import pattern_totals
 
 small_params = st.builds(
     lambda n_extra, m, p1, p2: ModelParams(m + n_extra, m, p1, p2),
@@ -149,6 +151,27 @@ class TestCountPatterns:
         pc = PatternCounts(2, (1,), 1)
         assert pc.m == 3
         assert pc.weight_zero_exponent() == 1 * 1 + 2 * 1
+
+
+class TestPatternTotals:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 31, 63, 64, 65, 130])
+    def test_sums_the_naive_scanner(self, n):
+        rng = random.Random(n)
+        for m in sorted({*range(2, min(n, 6) + 1), n}):
+            params = ModelParams(n, m, 0.3, 0.5)
+            # sparse to dense rings, plus both extremes, so every pattern occurs
+            codes = [0, (1 << n) - 1]
+            for k in range(12):
+                code = rng.getrandbits(n)
+                for _ in range(k % 4):
+                    code &= rng.getrandbits(n)
+                codes.append(code)
+            expected = [0] * m
+            for code in codes:
+                n1, inner, blocked = naive_counts(Configuration(code, n).bits(), m)
+                expected = [a + b for a, b in zip(expected, (n1, *inner, blocked))]
+            assert pattern_totals(codes, params) == expected
+            assert pattern_totals([], params) == [0] * m
 
 
 class TestWindows:
