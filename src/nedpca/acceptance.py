@@ -4,7 +4,7 @@ Each criterion returns a CheckResult with a one-line verdict; run_level
 executes all ten. The "quick" level shrinks the heavy parameter sweeps
 (criteria 1, 3, 4, 9, 10) but runs the analytic criteria in full; "full"
 runs everything at production size, including the exact-solver sweep up to
-n = 10 (about 6 s on a 2-vCPU Xeon).
+n = 10 (about 18 s on 2 vCPUs of a shared Xeon host).
 
 Two criteria pin facts that are easy to state wrongly:
 
@@ -34,10 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from .closedforms import (
+    _weights,
     density_formula,
     partition_formula,
     stationary_table_formula,
-    stationary_weight,
 )
 from .errors import ParamError
 from .m2 import (
@@ -150,9 +150,7 @@ def criterion_03(reduced: bool = False) -> CheckResult:
             for p1, p2 in points:
                 params = ModelParams(n, m, p1, p2)
                 z = partition_formula(params)
-                brute = math.fsum(
-                    stationary_weight(code, params) for code in range(params.n_states)
-                )
+                brute = math.fsum(_weights(params))
                 rel = abs(z - brute) / brute
                 count += 1
                 if rel > worst:
@@ -172,17 +170,9 @@ def criterion_04(reduced: bool = False) -> CheckResult:
             for p1, p2 in points:
                 params = ModelParams(n, m, p1, p2)
                 rho = density_formula(params)
-                table = stationary_table_formula(params)
-                site1 = math.fsum(
-                    table.probs[code] for code in range(params.n_states) if code & 1
-                )
-                mean_count = (
-                    math.fsum(
-                        code.bit_count() * table.probs[code]
-                        for code in range(params.n_states)
-                    )
-                    / n
-                )
+                probs = np.array(stationary_table_formula(params).probs)
+                site1 = math.fsum(probs[1::2])
+                mean_count = math.fsum(np.bitwise_count(np.arange(len(probs))) * probs) / n
                 gap = max(abs(rho - site1), abs(rho - mean_count))
                 count += 1
                 if gap > worst:

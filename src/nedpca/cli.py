@@ -160,7 +160,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             f"Z (closed form): {_fmt(z_formula)}",
             f"Z (solver, 1/pi(all-vacant)): {_fmt(z_solver)}",
             f"density (closed form): {_fmt(density_formula(params))}",
-            f"density (solver): {_fmt(sum(solved.prob(c) for c in range(params.n_states) if c & 1))}",
+            f"density (solver): {_fmt(sum(solved.probs[1::2]))}",
             f"sup gap formula vs solver: {sup_gap:.3e}",
             f"master-equation residual (formula table): {float(balance_residual(formula, matrix)):.3e}",
             f"master-equation residual (solver table): {float(balance_residual(solved, matrix)):.3e}",

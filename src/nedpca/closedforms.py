@@ -5,8 +5,11 @@ The stationary law of the chain factorizes over cyclic patterns:
     weight(beta) = p1^N1 * (1-p1)^(sum_r r*N_{10^r 1} + (m-1)*N_{0^{m-1} 1})
                    * p2^(-N_{0^{m-1} 1})
 
-and pi(beta) = weight(beta) / Z. The normalizing constant admits a cycle
-counting expansion
+and pi(beta) = weight(beta) / Z. The exponents count the window classes of
+`model.window_masks`: N_{0^{m-1} 1} is the number of blocked vacancies, and a
+gap of g zeros adds min(g, m-1) to the (1-p1) exponent, one per vacancy whose
+window holds a 1, so that exponent is n - N1 - #open vacancies. The
+normalizing constant admits a cycle counting expansion
 
     Z_{n,m} = 1 + sum_{k=1}^{n} sum_{(M,N)} sum_{x in T_M}
               (n/k) * multinomial(k; x_1..x_{m-2}, N, k-N-sum x)
@@ -34,14 +37,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
+import numpy as np
+
 from .errors import BudgetExceeded, DomainError, NedpcaError, ParamError
 from .model import (
     ConfigLike,
     Configuration,
     ModelParams,
     StationaryTable,
-    count_patterns,
     transition_prob,
+    window_masks,
 )
 
 __all__ = [
@@ -72,12 +77,25 @@ Real = Union[float, Fraction]
 
 def stationary_weight(beta: ConfigLike, params: ModelParams) -> Real:
     """Unnormalized stationary weight of a configuration; pi = weight / Z."""
-    counts = count_patterns(beta, params)
-    return (
-        params.p1 ** counts.n1
-        * (1 - params.p1) ** counts.weight_zero_exponent()
-        * params.p2 ** (-counts.n0m1)
-    )
+    code = Configuration.coerce(beta, params.n).code
+    open_mask, blocked_mask = window_masks(code, params)
+    n1, blocked = code.bit_count(), blocked_mask.bit_count()
+    zeros = params.n - n1 - open_mask.bit_count()
+    return params.p1**n1 * (1 - params.p1) ** zeros * params.p2 ** (-blocked)
+
+
+def _weights(params: ModelParams) -> np.ndarray:
+    # stationary_weight of every code from one window_masks call; its powers are
+    # looked up in tables filled by **, so every product is the same number
+    n, p1 = params.n, params.p1
+    codes = np.arange(params.n_states, dtype=np.int64)
+    open_mask, blocked_mask = window_masks(codes, params)
+    n1, blocked = np.bitwise_count(codes), np.bitwise_count(blocked_mask)
+    zeros = n - n1 - np.bitwise_count(open_mask)
+    pw1 = np.array([p1**k for k in range(n + 1)])
+    pw0 = np.array([(1 - p1) ** k for k in range(n + 1)])
+    pw2 = np.array([params.p2 ** (-k) for k in range(n + 1)])
+    return pw1[n1] * pw0[zeros] * pw2[blocked]
 
 
 def stationary_table_formula(params: ModelParams) -> StationaryTable:
@@ -88,9 +106,9 @@ def stationary_table_formula(params: ModelParams) -> StationaryTable:
     """
     if params.n > TABLE_CAP:
         raise BudgetExceeded(f"n={params.n} exceeds the table cap {TABLE_CAP}")
-    weights = [stationary_weight(code, params) for code in range(params.n_states)]
+    weights = _weights(params)
     z = sum(weights) if params.exact else math.fsum(weights)
-    return StationaryTable(params=params, probs=tuple(w / z for w in weights), source="formula")
+    return StationaryTable(params=params, probs=tuple((weights / z).tolist()), source="formula")
 
 
 # ---- Reversibility ----

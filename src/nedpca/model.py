@@ -208,7 +208,7 @@ class StationaryTable:
 
 @dataclass(frozen=True)
 class PatternCounts:
-    """Cyclic occurrence counts driving the stationary weight of a state.
+    """Cyclic occurrence counts of the patterns the paper writes the weight over.
 
     n1 counts 1s. n10r1[r-1] counts occurrences of 1 0^r 1 for r = 1..m-2.
     n0m1 counts occurrences of 0^{m-1} 1. All windows wrap around the ring.
@@ -217,15 +217,6 @@ class PatternCounts:
     n1: int
     n10r1: tuple[int, ...]
     n0m1: int
-
-    @property
-    def m(self) -> int:
-        return len(self.n10r1) + 2
-
-    def weight_zero_exponent(self) -> int:
-        # exponent of (1-p1) in the stationary weight: each counted pattern
-        # pins down its interior zeros
-        return sum((r + 1) * c for r, c in enumerate(self.n10r1)) + (self.m - 1) * self.n0m1
 
 
 def pattern_totals(codes: Sequence[int], params: ModelParams) -> list[int]:
@@ -321,17 +312,16 @@ def window_masks(code: int, params: ModelParams) -> tuple[int, int]:
 
     Bit i of the first mask is set when site i+1 sees the window 0^m, bit i of
     the second when it sees 0^{m-1} 1. Everything else is forced. Costs O(m)
-    word operations regardless of n.
+    word operations regardless of n. An int64 array of codes (n <= 62) gives
+    the two masks of every code at once and is left unchanged.
     """
     n, m = params.n, params.m
     mask = (1 << n) - 1
     occupied_ahead = code  # OR of the first m-1 window symbols, per site
     for t in range(1, m - 1):
-        occupied_ahead |= ror(code, t, n)
+        occupied_ahead = occupied_ahead | ror(code, t, n)
     closing = ror(code, m - 1, n)
-    open_mask = ~occupied_ahead & ~closing & mask
-    blocked_mask = ~occupied_ahead & closing & mask
-    return open_mask, blocked_mask
+    return ~occupied_ahead & ~closing & mask, ~occupied_ahead & closing & mask
 
 
 def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:

@@ -97,11 +97,11 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     stay = np.array([1, 1 - p1, p2], dtype=dtype)
     fill = np.array([0, p1, 1 - p2], dtype=dtype)
     ns = params.n_states
-    masks = np.array([window_masks(a, params) for a in range(ns)], dtype=np.int64)
+    open_mask, blocked_mask = window_masks(np.arange(ns, dtype=np.int64), params)
     entries = np.empty((ns, ns), dtype=dtype)
     entries[:, 0] = one
     for i in range(params.n):
-        kind = ((masks[:, 0] >> i) & 1) + 2 * ((masks[:, 1] >> i) & 1)
+        kind = ((open_mask >> i) & 1) + 2 * ((blocked_mask >> i) & 1)
         width = 1 << i
         block = entries[:, :width]
         np.multiply(block, fill[kind, None], out=entries[:, width : 2 * width])

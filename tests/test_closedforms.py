@@ -32,6 +32,7 @@ from nedpca import (
     z2_log_recurrence,
     z2_recurrence,
 )
+from test_model import naive_counts
 
 PARAMS_635 = ModelParams(6, 3, 0.3, 0.5)
 RATIONAL = ModelParams(3, 2, Fraction(1, 2), Fraction(1, 3))
@@ -49,6 +50,19 @@ class TestStationaryWeight:
 
     def test_exact_weights(self):
         assert stationary_weight("011", RATIONAL) == Fraction(1, 4) * Fraction(3, 2)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_the_paper_pattern_product(self, n):
+        # the weight is read off the window masks; the paper writes it over the
+        # patterns 1 0^r 1 and 0^(m-1) 1, counted here by an independent scanner
+        points = [(0.3, 0.45), (Fraction(1, 3), Fraction(1, 2))]
+        for m in range(2, n + 1):
+            for code in range(2**n):
+                n1, inner, blocked = naive_counts(Configuration(code, n).bits(), m)
+                zeros = sum((r + 1) * c for r, c in enumerate(inner)) + (m - 1) * blocked
+                for p1, p2 in points:
+                    expected = p1**n1 * (1 - p1) ** zeros * p2 ** (-blocked)
+                    assert stationary_weight(code, ModelParams(n, m, p1, p2)) == expected
 
     @given(
         st.integers(2, 5),
@@ -311,12 +325,12 @@ class TestStationaryTableFormula:
         assert table.source == "formula"
 
     def test_probabilities_proportional_to_weights(self):
-        params = ModelParams(5, 3, 0.3, 0.5)
-        table = stationary_table_formula(params)
-        z = partition_formula(params)
-        for code in range(params.n_states):
-            expected = stationary_weight(code, params) / z
-            assert table.probs[code] == pytest.approx(expected, rel=1e-12)
+        for n, m in [(5, 3), (6, 2), (7, 7), (9, 4), (10, 10)]:
+            params = ModelParams(n, m, 0.3, 0.5)
+            table = stationary_table_formula(params)
+            weights = [stationary_weight(code, params) for code in range(params.n_states)]
+            z = math.fsum(weights)
+            assert list(table.probs) == [w / z for w in weights]
 
 
 class TestReversibilityRatio:

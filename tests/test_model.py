@@ -12,7 +12,6 @@ from nedpca import (
     Configuration,
     ModelParams,
     ParamError,
-    PatternCounts,
     SiteWindow,
     classify_window,
     count_patterns,
@@ -146,12 +145,6 @@ class TestCountPatterns:
         pc = count_patterns(conf, params)
         assert (pc.n1, pc.n10r1, pc.n0m1) == naive_counts(conf.bits(), params.m)
 
-    def test_zero_exponent(self):
-        # exponent of (1-p1) in the weight: one per inner vacancy, m-1 per full gap
-        pc = PatternCounts(2, (1,), 1)
-        assert pc.m == 3
-        assert pc.weight_zero_exponent() == 1 * 1 + 2 * 1
-
 
 class TestPatternTotals:
     @pytest.mark.parametrize("n", [2, 3, 7, 8, 9, 31, 63, 64, 65, 130])
@@ -203,6 +196,17 @@ class TestWindows:
             bit = 1 << (site - 1)
             assert bool(open_mask & bit) == (w is SiteWindow.OPEN_VACANCY)
             assert bool(blocked_mask & bit) == (w is SiteWindow.BLOCKED_VACANCY)
+
+    @pytest.mark.parametrize("n", [9, 12, 16])
+    def test_array_of_codes_gives_the_per_code_masks(self, n):
+        codes = np.arange(2**n, dtype=np.int64)
+        for m in sorted({*range(2, 7), n}):
+            params = ModelParams(n, m, 0.3, 0.5)
+            open_mask, blocked_mask = window_masks(codes, params)
+            expected = np.array([window_masks(c, params) for c in range(2**n)])
+            assert np.array_equal(open_mask, expected[:, 0])
+            assert np.array_equal(blocked_mask, expected[:, 1])
+            assert np.array_equal(codes, np.arange(2**n))  # input left as it was
 
 
 class TestTransitionProb:
