@@ -26,8 +26,9 @@ class BudgetExceeded(NedpcaError):
 class SolveFailed(NedpcaError):
     """The stationary linear system turned out singular.
 
-    For valid parameters the chain is irreducible and aperiodic, so this
-    signals an escape from parameter validation (or a hand-built matrix).
+    The solve presumes that P commutes with rotating the ring, as every built
+    matrix does. For valid parameters the chain is then ergodic, so this
+    signals an escape from validation (or a hand-built matrix).
     """
 
 

@@ -137,11 +137,21 @@ class SeriesCoefficients:
 
 def _divide_series(num: list[float], den: list[float], n_max: int) -> tuple[float, ...]:
     # coefficient recursion of num(x)/den(x); den[0] != 0
+    if n_max < 2:
+        raise ParamError(f"need n_max >= 2, got {n_max}")
+    if n_max > SERIES_CAP:
+        raise BudgetExceeded(f"series expansion capped at n_max <= {SERIES_CAP}")
     coeffs = []
     for k in range(n_max + 1):
         parts = [num[k]] if k < len(num) else []
         parts += [-den[j] * coeffs[k - j] for j in range(1, min(k, len(den) - 1) + 1)]
-        coeffs.append(math.fsum(parts) / den[0])
+        try:
+            c = math.fsum(parts) / den[0]
+        except (OverflowError, ValueError):  # a partial sum overflows, or inf - inf
+            c = math.inf
+        if not math.isfinite(c):
+            raise OverflowError(f"series coefficient {k} overflows the float range")
+        coeffs.append(c)
     return tuple(coeffs)
 
 
@@ -151,10 +161,6 @@ def z2_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
     Coefficient n equals Z_{n,2}.
     """
     p1, p2 = _validate(p1, p2)
-    if n_max < 2:
-        raise ParamError(f"need n_max >= 2, got {n_max}")
-    if n_max > SERIES_CAP:
-        raise BudgetExceeded(f"series expansion capped at n_max <= {SERIES_CAP}")
     num = [2.0 * p2, -(1.0 + p1) * p2]
     den = [p2, -p2 * (1.0 + p1), -p1 * (1.0 - p1 - p2)]
     return SeriesCoefficients("partition", p1, p2, _divide_series(num, den, n_max))
@@ -167,10 +173,6 @@ def density_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
     probability, so c_n / Z_{n,2} recovers the density.
     """
     p1, p2 = _validate(p1, p2)
-    if n_max < 2:
-        raise ParamError(f"need n_max >= 2, got {n_max}")
-    if n_max > SERIES_CAP:
-        raise BudgetExceeded(f"series expansion capped at n_max <= {SERIES_CAP}")
     q2 = q2_parameter(p1, p2)
     num = [0.0, p1, p1 * (q2 - 1.0)]
     den = [1.0, -(1.0 + p1), p1 * (1.0 - q2)]

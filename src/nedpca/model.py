@@ -24,6 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -127,7 +128,7 @@ class Configuration:
 
     @classmethod
     def coerce(cls, value: "ConfigLike", n: int) -> "Configuration":
-        """Accept a Configuration, an integer code, or a binary string."""
+        """Accept a Configuration, an integer code (numpy's too), or a binary string."""
         if isinstance(value, Configuration):
             if value.n != n:
                 raise ParamError(f"configuration has n={value.n}, expected n={n}")
@@ -137,8 +138,8 @@ class Configuration:
             if conf.n != n:
                 raise ParamError(f"string length {conf.n} does not match n={n}")
             return conf
-        if isinstance(value, int):
-            return cls(value, n)
+        if isinstance(value, (int, numbers.Integral)):  # int first: the ABC check is slow
+            return cls(int(value), n)
         raise ParamError(f"cannot interpret {value!r} as a configuration")
 
     def bit(self, site: int) -> int:

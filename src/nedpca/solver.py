@@ -2,7 +2,8 @@
 
 Everything here enumerates the full state space 2**n, so it only scales to
 small rings, but it makes no appeal to any closed form: the stationary vector
-comes out of a direct linear solve. That is what lets the analytic evaluators
+comes out of a direct linear solve, lumped onto rotation orbits by a symmetry
+of the transition law alone. That is what lets the analytic evaluators
 elsewhere in the package be checked against an independent computation.
 """
 
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, DomainError, SolveFailed
-from .model import Configuration, ModelParams, StationaryTable, transition_prob, window_masks
+from .model import Configuration, ModelParams, StationaryTable, ror, transition_prob, window_masks
 
 __all__ = [
     "FLOAT_CAP",
@@ -32,11 +33,10 @@ __all__ = [
     "one_directional_pair",
 ]
 
-# Dense float storage grows as 4**n; n=16 already means a 34 GiB matrix, so the
-# cap guards against accidents rather than promising comfort near the top end.
-FLOAT_CAP = 16
-# Rational solves cost Fraction arithmetic on a 2**n square system.
-RATIONAL_CAP = 8
+# A dense matrix takes 8 * 4**n bytes, and the audit holds three: 1.5 GiB at n = 13.
+FLOAT_CAP = 13
+# Exact mode pays for the 4**n Fraction build and residuals: ~6 s per report at n = 9.
+RATIONAL_CAP = 9
 
 
 # ---- Types ----
@@ -89,7 +89,8 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     cap = RATIONAL_CAP if params.exact else FLOAT_CAP
     if params.n > cap:
         raise BudgetExceeded(
-            f"n={params.n} exceeds the {'rational' if params.exact else 'float'} cap {cap}"
+            f"n={params.n} exceeds the {'rational' if params.exact else 'float'} cap {cap}:"
+            f" the dense matrix alone takes {8 << 2 * params.n} bytes"
         )
     dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
     p1, p2 = params.p1, params.p2
@@ -112,56 +113,51 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
 # ---- Stationary solve ----
 
 
-def _solve_exact_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    # Gaussian elimination with first-nonzero pivoting; exact, so any nonzero
-    # pivot is as good as any other.
-    d = len(rows)
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col] != 0), None)
-        if piv is None:
-            raise SolveFailed("rational stationary system is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Fraction(1, 1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(col + 1, d):
-            f = a[r][col]
-            if f != 0:
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [Fraction(0)] * d
-    for col in range(d - 1, -1, -1):
-        s = a[col][d] - sum(a[col][j] * out[j] for j in range(col + 1, d))
-        out[col] = s
-    return out
+def _eliminate(aug: np.ndarray) -> np.ndarray:
+    # Solves [A | b] by elimination with partial pivoting, then back-substitution.
+    # Any nonzero pivot is exact for Fractions, so both dtypes share these lines.
+    k = len(aug)
+    for col in range(k):
+        piv = col + np.abs(aug[col:, col]).argmax()
+        if aug[piv, col] == 0:
+            raise SolveFailed(f"stationary system is singular at column {col}")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        pivot_row = aug[col, col:] / aug[col, col]
+        aug[col + 1 :, col:] -= aug[col + 1 :, col, None] * pivot_row
+    for col in range(k - 1, -1, -1):
+        aug[col, k] = (aug[col, k] - aug[col, col + 1 : k] @ aug[col + 1 :, k]) / aug[col, col]
+    return aug[:, k]
 
 
 def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     """Unique left fixed probability vector of the chain, by direct solve.
 
-    Solves (P^T - I) pi = 0 with the last equation replaced by the
-    normalization sum(pi) = 1: by LU in floats, by elimination over
-    Fractions in exact mode.
+    P must commute with rotating the ring, as every build_matrix result does;
+    the chain then lumps exactly onto rotation orbits A (Kemeny & Snell 1960,
+    sec. 6.3), with Q[A, B] = sum over b in B of P[a, b] for any a in A.
+    Solves (Q^T - I) mu = 0 with its last equation replaced by sum(mu) = 1,
+    in floats or Fractions alike, and returns pi(a) = mu(A) / |A|.
 
     Raises:
-        SolveFailed: if the system is singular (chain not ergodic; cannot
-            happen for validated parameters).
+        SolveFailed: if the lumped system is singular (chain not ergodic;
+            cannot happen for validated parameters) or floats overflow.
     """
-    p = matrix.entries
-    a = p.T - np.eye(matrix.n_states, dtype=p.dtype)
-    a[-1, :] = 1
-    b = np.zeros(matrix.n_states, dtype=p.dtype)
-    b[-1] = 1
-    if matrix.exact:
-        pi = _solve_exact_linear(a.tolist(), b.tolist())
-    else:
-        try:
-            pi = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailed(f"stationary solve failed: {exc}") from exc
-        if not np.isfinite(pi).all():
-            raise SolveFailed("stationary solve produced non-finite entries")
-        pi = pi.tolist()
-    return StationaryTable(params=matrix.params, probs=tuple(pi), source="solver")
+    p, n = matrix.entries, matrix.params.n
+    codes = np.arange(matrix.n_states, dtype=np.int64)
+    canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
+    reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
+    k = len(reps)
+    zero, one = (Fraction(0), Fraction(1)) if p.dtype == object else (0.0, 1.0)
+    aug = np.full((k, k + 1), zero, dtype=p.dtype)  # [Q^T - I | e_k]
+    np.add.at(aug[:, :k], orbit, p[reps].T)
+    aug[range(k), range(k)] -= one
+    aug[-1] = one
+    mu = _eliminate(aug)
+    if p.dtype != object and not np.isfinite(mu).all():
+        raise SolveFailed("stationary solve produced non-finite entries")
+    pi = mu[orbit] / sizes.astype(p.dtype)[orbit]
+    return StationaryTable(params=matrix.params, probs=tuple(pi.tolist()), source="solver")
 
 
 def check_irreducible_aperiodic(matrix: TransitionMatrix) -> bool:

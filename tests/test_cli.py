@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nedpca.acceptance
@@ -193,6 +194,18 @@ class TestSimulate:
         assert (got, out, calls) == (code, "", [])
         assert err.startswith("error: ") and message in err
 
+    def test_tv_past_the_float_cap_exits_before_allocating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.empty called past the float cap")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        code, out, err = run_cli(
+            capsys, "simulate", "-n", "14", "-m", "3", "--p1", "0.3", "--p2", "0.5",
+            "--samples", "10", "--tv",
+        )
+        assert (code, out) == (3, "")
+        assert "cap" in err and str(8 * 4**14) in err
+
 
 class TestM2:
     def test_point_payload(self, capsys):
@@ -317,9 +330,9 @@ class TestConfigAndErrors:
         assert code == 2
 
     def test_budget_exit(self, capsys):
-        # the exact oracle solves a 2**n Fraction system, capped at n = 8
+        # the exact oracle builds a 4**n Fraction matrix, capped at n = 9
         code, _, err = run_cli(
-            capsys, "exact", "-n", "9", "-m", "2", "--p1", "1/3", "--p2", "1/2",
+            capsys, "exact", "-n", "10", "-m", "2", "--p1", "1/3", "--p2", "1/2",
             "--exact-rational",
         )
         assert code == 3 and "cap" in err

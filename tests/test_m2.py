@@ -114,6 +114,15 @@ class TestSeries:
         with pytest.raises(BudgetExceeded):
             z2_series(10_001, 0.3, 0.5)
 
+    @pytest.mark.parametrize(
+        "series, p1, p2",
+        [(z2_series, 0.1, 0.05), (density_series, 0.1, 0.05), (z2_series, 0.5, 0.9)],
+        ids=["z2-inf", "density-fsum-overflow", "z2-inf-minus-inf"],
+    )
+    def test_series_overflow_names_the_coefficient(self, series, p1, p2):
+        with pytest.raises(OverflowError, match=r"coefficient \d+"):
+            series(3000, p1, p2)
+
 
 class TestFreeEnergy:
     def test_frozen_reference_value(self):

@@ -18,6 +18,7 @@ from nedpca import (
     ror,
     scalar_step,
     site_update_prob,
+    stationary_table_formula,
     step_sample,
     transition_prob,
     window_masks,
@@ -85,6 +86,17 @@ class TestConfiguration:
         assert Configuration.coerce("1010", 4) == conf
         with pytest.raises(ParamError):
             Configuration.coerce("101", 4)
+
+    def test_coerce_accepts_numpy_integers(self):
+        params = ModelParams(4, 2, 0.3, 0.5)
+        table = stationary_table_formula(params)
+        assert table.prob(np.int64(3)) == table.prob(3)
+        assert transition_prob(np.int64(1), np.int64(0), params) == transition_prob(1, 0, params)
+        assert Configuration.coerce(np.uint8(5), 4) == Configuration(5, 4)
+        with pytest.raises(ParamError):
+            Configuration.coerce(3.0, 4)
+        with pytest.raises(ParamError):
+            Configuration.coerce(np.float64(3.0), 4)
 
     @given(st.integers(2, 24), st.integers(0, 2**24 - 1), st.integers(-30, 30))
     def test_rotation_preserves_popcount(self, n, raw, k):

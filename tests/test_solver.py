@@ -13,6 +13,8 @@ from nedpca import (
     DimensionMismatch,
     DomainError,
     ModelParams,
+    SolveFailed,
+    TransitionMatrix,
     audit_detailed_balance,
     balance_residual,
     build_matrix,
@@ -106,9 +108,19 @@ class TestBuildAndSolve:
         with pytest.raises(BudgetExceeded):
             build_matrix(ModelParams(17, 2, 0.3, 0.5))
 
+    def test_float_cap_refuses_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.empty called past the float cap")
+
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(BudgetExceeded) as info:
+            build_matrix(ModelParams(14, 3, 0.3, 0.5))
+        message = str(info.value)
+        assert "n=14" in message and "cap 13" in message and str(8 * 4**14) in message
+
     def test_rational_cap(self):
         with pytest.raises(BudgetExceeded):
-            build_matrix(ModelParams(9, 2, Fraction(1, 3), Fraction(1, 2)))
+            build_matrix(ModelParams(10, 2, Fraction(1, 3), Fraction(1, 2)))
 
     @given(float_params)
     @settings(max_examples=25, deadline=None)
@@ -133,6 +145,72 @@ class TestBuildAndSolve:
         d = table.to_json_dict()
         assert d["n"] == 3 and d["source"] == "solver"
         assert d["probs"][0] == "2/9"
+
+
+def dense_lu_table(matrix):
+    """Reference stationary vector: LU on the full 2**n system (P^T - I) pi = 0
+    with its last equation replaced by sum(pi) = 1, no lumping."""
+    a = matrix.entries.T - np.eye(matrix.n_states)
+    a[-1, :] = 1.0
+    b = np.zeros(matrix.n_states)
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
+
+
+def rotation_orbits(n):
+    """Orbit label (smallest member) of every code under rotating the ring."""
+    return [min(Configuration(code, n).rotated(k).code for k in range(n)) for code in range(1 << n)]
+
+
+class TestRotationLumping:
+    """The solve lumps P onto rotation orbits; these check the premise and the result."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_exact_matrix_is_strongly_lumpable(self, n):
+        orbit = rotation_orbits(n)
+        for m in range(2, n + 1):
+            entries = build_matrix(ModelParams(n, m, Fraction(1, 3), Fraction(1, 2))).entries
+            sums_by_orbit = {}
+            for a in range(1 << n):
+                sums = {}
+                for b in range(1 << n):
+                    sums[orbit[b]] = sums.get(orbit[b], Fraction(0)) + entries[a, b]
+                assert sums_by_orbit.setdefault(orbit[a], sums) == sums, (n, m, a)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("p1, p2", [(0.3, 0.5), (0.9, 1.0), (0.05, 0.95)])
+    def test_float_table_matches_dense_lu(self, m, p1, p2):
+        for n in range(m, 11):
+            matrix = build_matrix(ModelParams(n, m, p1, p2))
+            lumped = np.asarray(solve_stationary(matrix).probs)
+            assert np.max(np.abs(lumped - dense_lu_table(matrix))) < 1e-12, n
+
+    @pytest.mark.parametrize(
+        "params",
+        [ModelParams(10, 3, 0.3, 0.5), ModelParams(7, 2, Fraction(2, 5), Fraction(3, 10))],
+        ids=["float", "exact"],
+    )
+    def test_table_is_rotation_invariant(self, params):
+        probs = solve_stationary(build_matrix(params)).probs
+        for code in range(params.n_states):
+            assert probs[Configuration(code, params.n).rotated().code] == probs[code]
+
+    def test_exact_formula_equals_oracle_at_n9(self):
+        params = ModelParams(9, 3, Fraction(1, 3), Fraction(1, 2))
+        probs = solve_stationary(build_matrix(params)).probs
+        assert all(isinstance(x, Fraction) for x in probs)
+        assert probs == stationary_table_formula(params).probs
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_identity_matrix_is_singular(self, exact):
+        if exact:
+            params = ModelParams(4, 2, Fraction(1, 3), Fraction(1, 2))
+            eye = np.array([[Fraction(int(a == b)) for b in range(16)] for a in range(16)])
+        else:
+            params = ModelParams(4, 2, 0.3, 0.5)
+            eye = np.eye(16)
+        with pytest.raises(SolveFailed):
+            solve_stationary(TransitionMatrix(params, eye))
 
 
 class TestBalanceAudits:
