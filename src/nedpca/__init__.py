@@ -44,7 +44,6 @@ from .solver import (
     build_matrix,
     check_irreducible_aperiodic,
     one_directional_pair,
-    power_iteration,
     solve_stationary,
     transition_edges,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "check_irreducible_aperiodic",
     "balance_residual",
     "audit_detailed_balance",
-    "power_iteration",
     "transition_edges",
     "one_directional_pair",
     # closed forms

@@ -86,32 +86,37 @@ class CheckResult:
         return f"criterion {self.index:02d} {status} {self.title}: {self.detail} [{self.elapsed:.1f}s]"
 
 
-def _sweep_ranges(reduced: bool):
+def _sweep(reduced: bool, gap) -> tuple[float, str]:
+    """Worst gap(params) over the (n, m, p1, p2) sweep, the first maximum kept,
+    and the text naming it: "<worst> at (n,m,p1,p2)=<where> over <N> points"."""
     if reduced:
-        return (2, 3), 6, ((0.3, 0.4), (0.5, 1.0), (0.7, 0.2))
-    return (2, 3, 4, 5), 10, GRID
+        ms, n_hi, points = (2, 3), 6, ((0.3, 0.4), (0.5, 1.0), (0.7, 0.2))
+    else:
+        ms, n_hi, points = (2, 3, 4, 5), 10, GRID
+    worst, worst_at, count = 0.0, None, 0
+    for m in ms:
+        for n in range(m, n_hi + 1):
+            for p1, p2 in points:
+                value = gap(ModelParams(n, m, p1, p2))
+                count += 1
+                if value > worst:
+                    worst, worst_at = value, (n, m, p1, p2)
+    return worst, f"{worst:.2e} at (n,m,p1,p2)={worst_at} over {count} points"
 
 
 def criterion_01(reduced: bool = False) -> CheckResult:
     """Stationary law from the closed form matches the exact solver everywhere."""
     t0 = time.perf_counter()
-    ms, n_hi, points = _sweep_ranges(reduced)
-    worst, worst_at, count = 0.0, None, 0
-    for m in ms:
-        for n in range(m, n_hi + 1):
-            for p1, p2 in points:
-                params = ModelParams(n, m, p1, p2)
-                solved = solve_stationary(build_matrix(params))
-                formula = stationary_table_formula(params)
-                gap = float(
-                    np.max(np.abs(np.asarray(solved.probs) - np.asarray(formula.probs)))
-                )
-                count += 1
-                if gap > worst:
-                    worst, worst_at = gap, (n, m, p1, p2)
+
+    def gap(params: ModelParams) -> float:
+        solved = solve_stationary(build_matrix(params))
+        formula = stationary_table_formula(params)
+        return float(np.max(np.abs(np.asarray(solved.probs) - np.asarray(formula.probs))))
+
+    worst, where = _sweep(reduced, gap)
     elapsed = time.perf_counter() - t0
     passed = worst < 1e-10 and elapsed < 300.0
-    detail = f"sup gap {worst:.2e} at (n,m,p1,p2)={worst_at} over {count} points"
+    detail = f"sup gap {where}"
     if elapsed >= 300.0:
         detail += "; exceeded the 300s budget"
     return CheckResult(1, "formula vs solver", passed, detail, elapsed)
@@ -143,42 +148,32 @@ def criterion_02() -> CheckResult:
 def criterion_03(reduced: bool = False) -> CheckResult:
     """Partition formula equals the brute-force sum of stationary weights."""
     t0 = time.perf_counter()
-    ms, n_hi, points = _sweep_ranges(reduced)
-    worst, worst_at, count = 0.0, None, 0
-    for m in ms:
-        for n in range(m, n_hi + 1):
-            for p1, p2 in points:
-                params = ModelParams(n, m, p1, p2)
-                z = partition_formula(params)
-                brute = math.fsum(_weights(params))
-                rel = abs(z - brute) / brute
-                count += 1
-                if rel > worst:
-                    worst, worst_at = rel, (n, m, p1, p2)
+
+    def rel_gap(params: ModelParams) -> float:
+        z = partition_formula(params)
+        brute = math.fsum(_weights(params))
+        return abs(z - brute) / brute
+
+    worst, where = _sweep(reduced, rel_gap)
     passed = worst < 1e-9
-    detail = f"max rel gap {worst:.2e} at (n,m,p1,p2)={worst_at} over {count} points"
+    detail = f"max rel gap {where}"
     return CheckResult(3, "partition vs weight sums", passed, detail, time.perf_counter() - t0)
 
 
 def criterion_04(reduced: bool = False) -> CheckResult:
     """Density formula equals both marginal readings of the stationary law."""
     t0 = time.perf_counter()
-    ms, n_hi, points = _sweep_ranges(reduced)
-    worst, worst_at, count = 0.0, None, 0
-    for m in ms:
-        for n in range(m, n_hi + 1):
-            for p1, p2 in points:
-                params = ModelParams(n, m, p1, p2)
-                rho = density_formula(params)
-                probs = np.array(stationary_table_formula(params).probs)
-                site1 = math.fsum(probs[1::2])
-                mean_count = math.fsum(np.bitwise_count(np.arange(len(probs))) * probs) / n
-                gap = max(abs(rho - site1), abs(rho - mean_count))
-                count += 1
-                if gap > worst:
-                    worst, worst_at = gap, (n, m, p1, p2)
+
+    def gap(params: ModelParams) -> float:
+        rho = density_formula(params)
+        probs = np.array(stationary_table_formula(params).probs)
+        site1 = math.fsum(probs[1::2])
+        mean_count = math.fsum(np.bitwise_count(np.arange(len(probs))) * probs) / params.n
+        return max(abs(rho - site1), abs(rho - mean_count))
+
+    worst, where = _sweep(reduced, gap)
     passed = worst < 1e-10
-    detail = f"max gap {worst:.2e} at (n,m,p1,p2)={worst_at} over {count} points"
+    detail = f"max gap {where}"
     return CheckResult(4, "density consistency", passed, detail, time.perf_counter() - t0)
 
 

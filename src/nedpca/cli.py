@@ -169,7 +169,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         ]
     if args.edges:
         lines.append("alpha,beta,prob")
-        for alpha, beta, prob in transition_edges(params):
+        for alpha, beta, prob in transition_edges(matrix):
             lines.append(f"{alpha},{beta},{prob!r}")
     _emit("\n".join(lines), args.out)
     return 0
@@ -227,6 +227,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         exact = solve_stationary(build_matrix(params))
         if not plan.histogram_enabled:
             raise ParamError("summary carries no histogram; rerun with histogram=True")
+        if plan.samples == 0:
+            raise ParamError("empty summary has no empirical distribution")
     summary = run_simulation(plan)
     payload = summary.to_json_dict()
     if args.tv:

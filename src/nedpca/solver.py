@@ -5,17 +5,21 @@ small rings, but it makes no appeal to any closed form: the stationary vector
 comes out of a direct linear solve, lumped onto rotation orbits by a symmetry
 of the transition law alone. That is what lets the analytic evaluators
 elsewhere in the package be checked against an independent computation.
+
+Every check reads the one TransitionMatrix its caller built, and none holds
+a second 4**n array: the detailed-balance audit folds the flow gap a block
+of rows at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, DomainError, SolveFailed
+from .errors import BudgetExceeded, DimensionMismatch, SolveFailed
 from .model import Configuration, ModelParams, StationaryTable, ror, transition_prob, window_masks
 
 __all__ = [
@@ -28,15 +32,16 @@ __all__ = [
     "check_irreducible_aperiodic",
     "balance_residual",
     "audit_detailed_balance",
-    "power_iteration",
     "transition_edges",
     "one_directional_pair",
 ]
 
-# A dense matrix takes 8 * 4**n bytes, and the audit holds three: 1.5 GiB at n = 13.
+# A report holds one 8 * 4**n byte array, the matrix: 512 MiB at n = 13; n = 14
+# would need 2 GiB for P alone.
 FLOAT_CAP = 13
 # Exact mode pays for the 4**n Fraction build and residuals: ~6 s per report at n = 9.
 RATIONAL_CAP = 9
+_BLOCK = 1 << 17  # flow-gap entries per audit block (1 MiB): max(1, this // 2**n) rows
 
 
 # ---- Types ----
@@ -188,45 +193,37 @@ def balance_residual(table: StationaryTable, matrix: TransitionMatrix):
 
 
 def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> BalanceAudit:
-    """Exhaustive maximization of |pi(a)P[a->b] - pi(b)P[b->a]| over ordered pairs."""
+    """Exhaustive maximization of |pi(a)P[a->b] - pi(b)P[b->a]| over ordered pairs.
+
+    Folds the flow gap a block of rows at a time, so no second 4**n array is
+    held; the first maximum in row-major order wins, as one argmax over the
+    whole gap would pick.
+    """
     _check_consistent(table, matrix)
-    n = matrix.params.n
+    n, ns = matrix.params.n, matrix.n_states
     p = np.asarray(matrix.entries, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
-    gap = pi[:, None] * p
-    gap -= gap.T
-    np.abs(gap, out=gap)
-    a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return BalanceAudit(
-        max_violation=float(gap[a, b]),
-        witness=(Configuration(int(a), n), Configuration(int(b), n)),
-    )
-
-
-def power_iteration(matrix: TransitionMatrix, init: Sequence[float], iters: int) -> np.ndarray:
-    """Repeated left multiplication of a distribution by P; float mode only.
-
-    Kept as a cross-check of solve_stationary, not as the production solver:
-    the direct solve has no convergence threshold to argue about.
-    """
-    if matrix.exact:
-        raise DomainError("power iteration supports float matrices only")
-    v = np.asarray(init, dtype=float)
-    if v.shape != (matrix.n_states,):
-        raise DimensionMismatch(f"init must have length {matrix.n_states}")
-    p = matrix.entries
-    for _ in range(iters):
-        v = v @ p
-    return v
+    rows = max(1, _BLOCK // ns)
+    worst, a, b = -1.0, 0, 0
+    for start in range(0, ns, rows):
+        block = slice(start, start + rows)
+        gap = pi[block, None] * p[block]
+        gap -= (pi[:, None] * p[:, block]).T
+        np.abs(gap, out=gap)
+        k = int(np.argmax(gap))
+        if gap.flat[k] > worst:
+            worst, a, b = float(gap.flat[k]), start + k // ns, k % ns
+    return BalanceAudit(max_violation=worst, witness=(Configuration(a, n), Configuration(b, n)))
 
 
 # ---- Edge enumeration and witnesses ----
 
 
-def transition_edges(params: ModelParams) -> list[tuple[str, str, float]]:
+def transition_edges(matrix: TransitionMatrix) -> list[tuple[str, str, float]]:
     """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings."""
-    p = np.asarray(build_matrix(params).entries, dtype=float)
-    names = [Configuration(code, params.n).to_string() for code in range(params.n_states)]
+    n = matrix.params.n
+    p = np.asarray(matrix.entries, dtype=float)
+    names = [Configuration(code, n).to_string() for code in range(matrix.n_states)]
     src, dst = np.nonzero(p > 0)
     return [(names[a], names[b], float(p[a, b])) for a, b in zip(src.tolist(), dst.tolist())]
 

@@ -12,7 +12,8 @@ import pytest
 
 import nedpca.acceptance
 import nedpca.cli
-from nedpca import ModelParams, SimulationPlan, free_energy_grid, run
+import nedpca.solver
+from nedpca import ModelParams, SimulationPlan, build_matrix, free_energy_grid, run
 from nedpca.cli import build_parser, main
 
 
@@ -68,6 +69,21 @@ class TestExact:
         )
         assert "alpha,beta,prob" in out
         assert len(out.strip().splitlines()) == 9 + 1 + 27
+
+    def test_edges_reuse_the_report_matrix(self, capsys, monkeypatch):
+        params = []
+
+        def counted(p):
+            params.append(p)
+            return build_matrix(p)
+
+        monkeypatch.setattr(nedpca.cli, "build_matrix", counted)
+        monkeypatch.setattr(nedpca.solver, "build_matrix", counted)
+        code, out, _ = run_cli(
+            capsys, "exact", "-n", "4", "-m", "2", "--p1", "0.3", "--p2", "0.5", "--edges"
+        )
+        assert code == 0 and "alpha,beta,prob" in out
+        assert params == [ModelParams(4, 2, 0.3, 0.5)]
 
 
 class TestPartition:
@@ -193,6 +209,18 @@ class TestSimulate:
         )
         assert (got, out, calls) == (code, "", [])
         assert err.startswith("error: ") and message in err
+
+    def test_tv_with_no_samples_refused_before_sampling(self, capsys, monkeypatch):
+        def refuse(plan):
+            raise AssertionError("run_simulation called for an empty --tv run")
+
+        monkeypatch.setattr(nedpca.cli, "run_simulation", refuse)
+        code, out, err = run_cli(
+            capsys, "simulate", "-n", "6", "-m", "3", "--p1", "0.3", "--p2", "0.5",
+            "--samples", "0", "--tv",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: empty summary has no empirical distribution\n"
 
     def test_tv_past_the_float_cap_exits_before_allocating(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

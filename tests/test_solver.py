@@ -1,17 +1,18 @@
 """Transition matrix, stationary solving, balance audits, reversibility tools."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nedpca.solver
 from nedpca import (
     BudgetExceeded,
     Configuration,
     DimensionMismatch,
-    DomainError,
     ModelParams,
     SolveFailed,
     TransitionMatrix,
@@ -20,7 +21,6 @@ from nedpca import (
     build_matrix,
     check_irreducible_aperiodic,
     one_directional_pair,
-    power_iteration,
     solve_stationary,
     stationary_table_formula,
     transition_edges,
@@ -127,19 +127,6 @@ class TestBuildAndSolve:
     def test_chain_is_irreducible_aperiodic(self, params):
         assert check_irreducible_aperiodic(build_matrix(params))
 
-    def test_power_iteration_converges(self):
-        params = ModelParams(5, 2, 0.3, 0.5)
-        matrix = build_matrix(params)
-        table = solve_stationary(matrix)
-        init = np.full(params.n_states, 1.0 / params.n_states)
-        approx = power_iteration(matrix, init, 400)
-        assert np.max(np.abs(approx - np.asarray(table.probs))) < 1e-12
-
-    def test_power_iteration_rejects_exact(self):
-        matrix = build_matrix(REFERENCE)
-        with pytest.raises(DomainError):
-            power_iteration(matrix, [0.125] * 8, 10)
-
     def test_table_serialization(self):
         table = solve_stationary(build_matrix(REFERENCE))
         d = table.to_json_dict()
@@ -213,6 +200,21 @@ class TestRotationLumping:
             solve_stationary(TransitionMatrix(params, eye))
 
 
+def dense_audit(table, matrix):
+    """Reference fold: the whole flow gap at once, first maximum in row-major order."""
+    p = np.asarray(matrix.entries, dtype=float)
+    pi = np.asarray(table.probs, dtype=float)
+    gap = pi[:, None] * p
+    gap -= gap.T
+    np.abs(gap, out=gap)
+    a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return float(gap[a, b]), (int(a), int(b))
+
+
+def audit_key(audit):
+    return audit.max_violation, (audit.witness[0].code, audit.witness[1].code)
+
+
 class TestBalanceAudits:
     def test_reversible_on_balanced_line(self):
         params = ModelParams(5, 2, 0.3, 0.7)
@@ -235,6 +237,44 @@ class TestBalanceAudits:
         a, b = audit.witness
         assert isinstance(a, Configuration) and isinstance(b, Configuration)
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "p1, p2, n_hi",
+        [
+            (0.3, 0.5, 10),
+            (0.3, 0.7, 10),
+            (0.9, 1.0, 10),
+            (Fraction(1, 3), Fraction(1, 2), 7),
+            (Fraction(2, 5), Fraction(3, 5), 7),
+        ],
+    )
+    def test_block_fold_equals_dense_fold(self, m, p1, p2, n_hi):
+        for n in range(m, n_hi + 1):
+            matrix = build_matrix(ModelParams(n, m, p1, p2))
+            for table in (solve_stationary(matrix), stationary_table_formula(matrix.params)):
+                assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(
+                    table, matrix
+                ), (n, table.source)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("m, p1, p2", [(3, 0.3, 0.5), (2, 0.3, 0.7)])
+    def test_ragged_blocks_of_three_rows(self, monkeypatch, n, m, p1, p2):
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n)  # 2**n rows leave 1 or 2 over
+        matrix = build_matrix(ModelParams(n, m, p1, p2))
+        table = solve_stationary(matrix)
+        assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(table, matrix)
+
+    def test_audit_holds_no_second_matrix(self):
+        matrix = build_matrix(ModelParams(10, 3, 0.3, 0.5))
+        table = solve_stationary(matrix)
+        tracemalloc.start()
+        try:
+            audit_detailed_balance(table, matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * matrix.entries.nbytes
+
     def test_mismatched_inputs_rejected(self):
         matrix = build_matrix(ModelParams(4, 2, 0.3, 0.5))
         table = solve_stationary(build_matrix(ModelParams(5, 2, 0.3, 0.5)))
@@ -245,7 +285,7 @@ class TestBalanceAudits:
 class TestStructureHelpers:
     def test_edge_lists_are_stochastic(self):
         params = ModelParams(3, 2, 0.3, 0.5)
-        edges = transition_edges(params)
+        edges = transition_edges(build_matrix(params))
         assert len(edges) == 27
         totals = {}
         for alpha, beta, prob in edges:
@@ -254,7 +294,7 @@ class TestStructureHelpers:
         assert all(math.isclose(t, 1.0) for t in totals.values())
 
     def test_edge_count_m3(self):
-        assert len(transition_edges(ModelParams(3, 3, 0.3, 0.5))) == 18
+        assert len(transition_edges(build_matrix(ModelParams(3, 3, 0.3, 0.5)))) == 18
 
     def test_one_directional_pair_generic(self):
         pair = one_directional_pair(ModelParams(5, 3, 0.3, 0.5))
