@@ -340,7 +340,7 @@ def _sums(params: ModelParams) -> tuple[Real, Real]:
     z = 1 + sum(j * a[j - 1] * window[-1 - j] for j in range(1, m)) + b * (w + m * s)
     occupied = window[-1]
     if not params.exact and not (math.isfinite(z) and math.isfinite(occupied)):
-        raise OverflowError("math range error")
+        raise OverflowError(f"Z at n={n}, m={m} overflows a float")
     return z, occupied
 
 

@@ -83,6 +83,9 @@ def z2_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     z = [2.0, 1.0 + p1, _z2_seed(p1, p2)]
     for n in range(n_max - 2):
         z.append((p1 * (1.0 - p1 - p2) * z[-2] + p2 * (1.0 + p1) * z[-1]) / p2)
+    if not math.isfinite(z[-1]):  # past an overflow, 0 * inf or inf - inf gives NaN
+        first = z.index(math.inf)
+        z[first:] = [math.inf] * (len(z) - first)
     return tuple(z)
 
 

@@ -325,17 +325,21 @@ def window_masks(code: int, params: ModelParams) -> tuple[int, int]:
     return ~occupied_ahead & ~closing & mask, ~occupied_ahead & closing & mask
 
 
+def _thresholds(params: ModelParams) -> tuple[float, float]:
+    # the doubles every kernel tests a uniform against, whatever the number type
+    return float(params.p1), 1.0 - float(params.p2)
+
+
 def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
     """Reference one-step update, site by site.
 
-    u must supply n uniforms indexed 0..n-1. Draw i is compared against p1 at
-    an open vacancy and against 1-p2 at a blocked one; it is ignored (but
-    still consumed) at forced sites, so any kernel fed the same stream makes
-    identical decisions.
+    u must supply n uniforms indexed 0..n-1. Draw i is compared against
+    float(p1) at an open vacancy and against 1 - float(p2) at a blocked one; it
+    is ignored (but still consumed) at forced sites, so any kernel fed the same
+    stream makes identical decisions.
     """
     n, m = params.n, params.m
-    p1 = params.p1
-    r2 = 1 - params.p2
+    p1, r2 = _thresholds(params)
     new = 0
     for i in range(n):
         forced = False

@@ -1,8 +1,9 @@
 """Monte Carlo sampling of the chain with interchangeable update kernels.
 
 Both kernels consume exactly one uniform per site per step (the draw is
-discarded at forced sites), in site order, so a scalar and a bit-parallel run
-with the same seed produce bit-identical trajectories. The bit-parallel
+discarded at forced sites), in site order, and test it against the same
+doubles, float(p1) and 1 - float(p2), so a scalar and a bit-parallel run with
+the same seed produce bit-identical trajectories. The bit-parallel
 kernel packs each step's n threshold comparisons into machine integers with
 np.packbits and updates all sites with a handful of word operations; _advance
 is the one routine that steps either kernel.
@@ -38,6 +39,7 @@ from .model import (
     Configuration,
     ModelParams,
     StationaryTable,
+    _thresholds,
     pattern_totals,
     scalar_step,
     window_masks,
@@ -184,13 +186,6 @@ class EmpiricalSummary:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _pack_thresholds(u: np.ndarray, p1: float, r2: float) -> tuple[bytes, bytes]:
-    # row t of u holds step t's uniforms; bit i of the packed row answers u[t,i] < threshold
-    d1 = np.packbits(u < p1, axis=1, bitorder="little").tobytes()
-    d2 = np.packbits(u < r2, axis=1, bitorder="little").tobytes()
-    return d1, d2
-
-
 def _advance(code: int, params: ModelParams, u: np.ndarray, kernel: str) -> list[int]:
     """Step once per row of u from code; return the code after every step."""
     trajectory = []
@@ -199,7 +194,8 @@ def _advance(code: int, params: ModelParams, u: np.ndarray, kernel: str) -> list
             code = scalar_step(code, params, row)
             trajectory.append(code)
         return trajectory
-    d1, d2 = _pack_thresholds(u, float(params.p1), 1.0 - float(params.p2))
+    # row t of u holds step t's uniforms; bit i of packed row t answers u[t,i] < x
+    d1, d2 = (np.packbits(u < x, axis=1, bitorder="little").tobytes() for x in _thresholds(params))
     row_bytes = (params.n + 7) // 8
     for lo in range(0, len(d1), row_bytes):
         open_mask, blocked_mask = window_masks(code, params)

@@ -7,7 +7,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import nedpca.acceptance
@@ -26,8 +25,7 @@ def run_cli(capsys, *argv):
 class TestExact:
     def test_rational_report(self, capsys):
         code, out, _ = run_cli(
-            capsys, "exact", "-n", "3", "-m", "2", "--p1", "1/2", "--p2", "1/3",
-            "--exact-rational",
+            capsys, "exact", "-n", "3", "-m", "2", "--p1", "1/2", "--p2", "1/3"
         )
         assert code == 0
         assert "Z (closed form): 9/2" in out
@@ -110,9 +108,9 @@ class TestPartition:
         [
             (("-n", "16", "--p1", "0.3", "--p2", "0.5"), True),
             (("-n", "17", "--p1", "0.3", "--p2", "0.5"), False),
-            (("-n", "12", "--p1", "1/3", "--p2", "1/2", "--exact-rational"), True),
-            (("-n", "13", "--p1", "1/3", "--p2", "1/2", "--exact-rational"), True),
-            (("-n", "17", "--p1", "1/3", "--p2", "1/2", "--exact-rational"), False),
+            (("-n", "12", "--p1", "1/3", "--p2", "1/2"), True),
+            (("-n", "13", "--p1", "1/3", "--p2", "1/2"), True),
+            (("-n", "17", "--p1", "1/3", "--p2", "1/2"), False),
         ],
         ids=["float-n16", "float-n17", "exact-n12", "exact-n13", "exact-n17"],
     )
@@ -123,12 +121,11 @@ class TestPartition:
         gap = json.loads(out)["checks"]["weight_sum_rel_gap"]
         assert (gap is not None) == reported
         if reported:
-            assert gap == 0.0 if "--exact-rational" in argv else gap < 1e-14
+            assert gap == 0.0 if "1/3" in argv else gap < 1e-14
 
     def test_exact_csv(self, capsys):
         code, out, _ = run_cli(
-            capsys, "partition", "-n", "3", "-m", "2", "--p1", "1/2", "--p2", "1/3",
-            "--exact-rational", "--csv",
+            capsys, "partition", "-n", "3", "-m", "2", "--p1", "1/2", "--p2", "1/3", "--csv"
         )
         assert code == 0
         header, row = out.strip().splitlines()
@@ -222,17 +219,20 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert err == "error: empty summary has no empirical distribution\n"
 
-    def test_tv_past_the_float_cap_exits_before_allocating(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.empty called past the float cap")
+    def test_tv_builds_no_transition_matrix(self, capsys, monkeypatch):
+        # the reference is the closed form in doubles, so --tv serves fractions
+        # and every n the histogram covers by default, past the oracle's caps
+        def refuse(params):
+            raise AssertionError("build_matrix called for --tv")
 
-        monkeypatch.setattr(np, "empty", refuse)
-        code, out, err = run_cli(
-            capsys, "simulate", "-n", "14", "-m", "3", "--p1", "0.3", "--p2", "0.5",
-            "--samples", "10", "--tv",
+        monkeypatch.setattr(nedpca.cli, "build_matrix", refuse)
+        code, out, _ = run_cli(
+            capsys, "simulate", "-n", "14", "-m", "3", "--p1", "1/3", "--p2", "1/2",
+            "--samples", "10", "--burn-in", "10", "--tv",
         )
-        assert (code, out) == (3, "")
-        assert "cap" in err and str(8 * 4**14) in err
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p1"] == 1 / 3 and 0.0 <= payload["tv_distance"] <= 1.0
 
 
 class TestM2:
@@ -314,8 +314,8 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize(
         "command, keys",
         [
-            ("exact", {"n", "m", "p1", "p2", "exact_rational", "csv", "edges"}),
-            ("partition", {"n", "m", "p1", "p2", "exact_rational", "csv"}),
+            ("exact", {"n", "m", "p1", "p2", "csv", "edges"}),
+            ("partition", {"n", "m", "p1", "p2", "csv"}),
             ("simulate", {"n", "m", "p1", "p2", "seed", "samples", "chains", "burn_in",
                           "thin", "start", "kernel", "histogram", "trace_path", "tv"}),
             ("m2", {"p1", "p2", "grid", "p_lo", "p_hi", "series"}),
@@ -360,10 +360,23 @@ class TestConfigAndErrors:
     def test_budget_exit(self, capsys):
         # the exact oracle builds a 4**n Fraction matrix, capped at n = 9
         code, _, err = run_cli(
-            capsys, "exact", "-n", "10", "-m", "2", "--p1", "1/3", "--p2", "1/2",
-            "--exact-rational",
+            capsys, "exact", "-n", "10", "-m", "2", "--p1", "1/3", "--p2", "1/2"
         )
         assert code == 3 and "cap" in err
+
+    @pytest.mark.parametrize("command", ["exact", "partition"])
+    def test_exact_rational_is_gone(self, capsys, tmp_path, command):
+        # fraction syntax alone selects exact arithmetic
+        argv = [command, "-n", "3", "-m", "2", "--p1", "1/2", "--p2", "1/3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--exact-rational"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --exact-rational" in capsys.readouterr().err
+        conf = tmp_path / "run.conf"
+        conf.write_text("exact_rational = true\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+        assert (code, out) == (2, "")
+        assert "unknown config keys: ['exact_rational']" in err
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "z.json"
@@ -419,3 +432,19 @@ class TestVerify:
             main(["verify", "--quick", "--full"])
         assert exc.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    # a flag removed from the CLI but left in the docs fails here; an example
+    # is a 4-space-indented `nedpca` line, continued by a trailing backslash
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.sub(r"\\\n\s*", " ", readme).splitlines()
+    examples = [l.split("#", 1)[0].split()[1:] for l in lines if l.startswith("    nedpca ")]
+    assert examples
+    rejected = []
+    for argv in examples:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            rejected.append(" ".join(argv))
+    assert rejected == []

@@ -263,7 +263,7 @@ class TestRenewal:
     def test_first_overflow_raises(self):
         # at (0.5, 0.05) Z_646 is the last finite value, as in `nedpca m2 --series`
         assert math.isfinite(partition_formula(ModelParams(646, 2, 0.5, 0.05)))
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^Z at n=647, m=2 overflows a float$"):
             partition_formula(ModelParams(647, 2, 0.5, 0.05))
 
 

@@ -49,6 +49,14 @@ class TestRecurrence:
         with pytest.raises(ParamError):
             z2_recurrence(1, 0.3, 0.5)
 
+    def test_overflow_stays_inf(self):
+        # p1 + p2 = 1 zeroes the Z_{n-2} coefficient, so the step after the
+        # first inf would form 0 * inf
+        z = z2_recurrence(3000, 0.5, 0.5)
+        assert not any(math.isnan(x) for x in z)
+        assert z.index(math.inf) == 1751
+        assert all(x == math.inf for x in z[1751:])
+
     @pytest.mark.parametrize("p1", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_balanced_line_is_binomial(self, p1):
         # q2 = 1 reduces the weight to p1^N1, so Z_n = (1+p1)^n for n >= 1

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestKernelAgreement:
         assert bitparallel_step(0b01010101, params, u) == scalar_step(
             0b01010101, params, u
         )
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fraction_params_share_the_float_thresholds(self, m):
+        # u = float(1/3) lies below 1/3 but not below float(1/3): both kernels
+        # must test it against the same double
+        params = ModelParams(8, m, Fraction(1, 3), Fraction(1, 2))
+        for code in (0, 1):
+            for x in (float(params.p1), float(1 - params.p2), 0.0):
+                u = np.full(8, x)
+                assert scalar_step(code, params, u) == bitparallel_step(code, params, u)
 
 
 class TestRunDeterminism:
