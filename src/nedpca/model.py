@@ -60,8 +60,9 @@ Real = Union[float, Fraction]
 class ModelParams:
     """Ring size n, window size m, deposition probability p1, blocking p2.
 
-    p1 and p2 may be floats or exact `fractions.Fraction` values; the exact
-    form switches downstream evaluators into rational arithmetic.
+    p1 and p2 may be floats or exact `fractions.Fraction` values. Two
+    Fractions switch downstream evaluators into rational arithmetic; a mixed
+    pair is stored as two floats, the arithmetic it runs in.
     """
 
     n: int
@@ -79,6 +80,9 @@ class ModelParams:
         # p2 = 1 is allowed: a blocked vacancy then deterministically stays 0.
         if not 0 < self.p2 <= 1:
             raise ParamError(f"p2 must lie in (0,1], got {self.p2!r}")
+        if isinstance(self.p1, Fraction) != isinstance(self.p2, Fraction):
+            object.__setattr__(self, "p1", float(self.p1))
+            object.__setattr__(self, "p2", float(self.p2))
 
     @property
     def exact(self) -> bool:

@@ -7,8 +7,8 @@ of the transition law alone. That is what lets the analytic evaluators
 elsewhere in the package be checked against an independent computation.
 
 Every check reads the one TransitionMatrix its caller built, and none holds
-a second 4**n array: the detailed-balance audit folds the flow gap a block
-of rows at a time.
+a second 4**n array. The build, the lumping and the detailed-balance audit
+all work in row blocks of _BLOCK entries, so each block stays in cache.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 FLOAT_CAP = 13
 # Exact mode pays for the 4**n Fraction build and residuals: ~6 s per report at n = 9.
 RATIONAL_CAP = 9
-_BLOCK = 1 << 17  # flow-gap entries per audit block (1 MiB): max(1, this // 2**n) rows
+_BLOCK = 1 << 17  # entries per build, lump or audit block (1 MiB): max(1, this // 2**n) rows
 
 
 # ---- Types ----
@@ -79,13 +79,14 @@ class BalanceAudit:
 
 
 def build_matrix(params: ModelParams) -> TransitionMatrix:
-    """Every row P[a -> .] at once, as a product of independent site factors.
+    """Every row P[a -> .], as a product of independent site factors.
 
     Bit i of a column index b is the new value at site i+1. Once bits
-    0..i-1 are placed, columns 0..2**i-1 hold every row's partial products;
+    0..i-1 are placed, columns 0..2**i-1 hold each row's partial products;
     bit i copies that block times its fill factor into columns
     2**i..2**(i+1)-1, then scales the block in place by its stay factor.
     These are the products of a per-row Kronecker expansion, in its order.
+    Rows run in blocks of _BLOCK entries, so P is written to memory once.
 
     Raises:
         BudgetExceeded: when n exceeds FLOAT_CAP, or RATIONAL_CAP for exact
@@ -99,19 +100,22 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
         )
     dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
     p1, p2 = params.p1, params.p2
-    # site factors indexed by kind: 0 forced, 1 open vacancy, 2 blocked vacancy
-    stay = np.array([1, 1 - p1, p2], dtype=dtype)
-    fill = np.array([0, p1, 1 - p2], dtype=dtype)
-    ns = params.n_states
+    ns, sites = params.n_states, np.arange(params.n)
     open_mask, blocked_mask = window_masks(np.arange(ns, dtype=np.int64), params)
+    # site kinds, state by site: 0 forced, 1 open vacancy, 2 blocked vacancy
+    kind = ((open_mask[:, None] >> sites) & 1) + 2 * ((blocked_mask[:, None] >> sites) & 1)
+    stay = np.array([1, 1 - p1, p2], dtype=dtype)[kind]
+    fill = np.array([0, p1, 1 - p2], dtype=dtype)[kind]
     entries = np.empty((ns, ns), dtype=dtype)
-    entries[:, 0] = one
-    for i in range(params.n):
-        kind = ((open_mask >> i) & 1) + 2 * ((blocked_mask >> i) & 1)
-        width = 1 << i
-        block = entries[:, :width]
-        np.multiply(block, fill[kind, None], out=entries[:, width : 2 * width])
-        block *= stay[kind, None]
+    rows = max(1, _BLOCK // ns)
+    for start in range(0, ns, rows):
+        strip, states = entries[start : start + rows], slice(start, start + rows)
+        strip[:, 0] = one
+        for i in range(params.n):
+            width = 1 << i
+            block = strip[:, :width]
+            np.multiply(block, fill[states, i, None], out=strip[:, width : 2 * width])
+            block *= stay[states, i, None]
     return TransitionMatrix(params=params, entries=entries)
 
 
@@ -140,7 +144,8 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
 
     P must commute with rotating the ring, as every build_matrix result does;
     the chain then lumps exactly onto rotation orbits A (Kemeny & Snell 1960,
-    sec. 6.3), with Q[A, B] = sum over b in B of P[a, b] for any a in A.
+    sec. 6.3), with Q[A, B] = sum over b in B of P[a, b] for any a in A,
+    scattered straight from the representatives' rows in ascending b.
     Solves (Q^T - I) mu = 0 with its last equation replaced by sum(mu) = 1,
     in floats or Fractions alike, and returns pi(a) = mu(A) / |A|.
 
@@ -155,7 +160,10 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     k = len(reps)
     zero, one = (Fraction(0), Fraction(1)) if p.dtype == object else (0.0, 1.0)
     aug = np.full((k, k + 1), zero, dtype=p.dtype)  # [Q^T - I | e_k]
-    np.add.at(aug[:, :k], orbit, p[reps].T)
+    flat, rows = aug.reshape(-1), max(1, _BLOCK // matrix.n_states)
+    for start in range(0, k, rows):
+        block = np.arange(start, min(start + rows, k))  # Q[A, B] lands at B * (k + 1) + A
+        np.add.at(flat, (orbit * (k + 1) + block[:, None]).ravel(), p[reps[block]].ravel())
     aug[range(k), range(k)] -= one
     aug[-1] = one
     mu = _eliminate(aug)
@@ -195,9 +203,9 @@ def balance_residual(table: StationaryTable, matrix: TransitionMatrix):
 def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> BalanceAudit:
     """Exhaustive maximization of |pi(a)P[a->b] - pi(b)P[b->a]| over ordered pairs.
 
-    Folds the flow gap a block of rows at a time, so no second 4**n array is
-    held; the first maximum in row-major order wins, as one argmax over the
-    whole gap would pick.
+    Folds the flow gap's upper triangle a block of rows at a time, holding no
+    second 4**n array. The gap is exactly symmetric, so each dropped (a, b)
+    repeats an earlier (b, a), and the first maximum in row-major order wins.
     """
     _check_consistent(table, matrix)
     n, ns = matrix.params.n, matrix.n_states
@@ -206,13 +214,13 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     rows = max(1, _BLOCK // ns)
     worst, a, b = -1.0, 0, 0
     for start in range(0, ns, rows):
-        block = slice(start, start + rows)
-        gap = pi[block, None] * p[block]
-        gap -= (pi[:, None] * p[:, block]).T
+        block, width = slice(start, start + rows), ns - start
+        gap = pi[block, None] * p[block, start:]
+        gap -= (pi[start:, None] * p[start:, block]).T
         np.abs(gap, out=gap)
         k = int(np.argmax(gap))
         if gap.flat[k] > worst:
-            worst, a, b = float(gap.flat[k]), start + k // ns, k % ns
+            worst, a, b = float(gap.flat[k]), start + k // width, start + k % width
     return BalanceAudit(max_violation=worst, witness=(Configuration(a, n), Configuration(b, n)))
 
 

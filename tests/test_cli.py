@@ -43,6 +43,13 @@ class TestExact:
         assert gap < 1e-12
         assert "not reversible" in out
 
+    def test_mixed_parameters_report_floats(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "exact", "-n", "4", "-m", "2", "--p1", "1/3", "--p2", "0.5"
+        )
+        assert code == 0
+        assert "n=4 m=2 p1=0.3333333333333333 p2=0.5 mode=float\n" in out
+
     def test_reversible_verdict_on_balanced_line(self, capsys):
         _, out, _ = run_cli(
             capsys, "exact", "-n", "4", "-m", "2", "--p1", "0.3", "--p2", "0.7"
@@ -95,6 +102,15 @@ class TestPartition:
         assert payload["density"] == pytest.approx(0.2139317393810602, rel=1e-12)
         assert payload["checks"]["weight_sum_rel_gap"] < 1e-12
         assert payload["checks"]["recurrence_rel_gap"] is None
+
+    def test_mixed_parameters_report_floats(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "partition", "-n", "4", "-m", "2", "--p1", "1/3", "--p2", "0.5"
+        )
+        assert code == 0
+        assert '"p1": 0.3333333333333333,' in out
+        payload = json.loads(out)
+        assert payload["p1"] == 1 / 3 and payload["p2"] == 0.5
 
     def test_recurrence_check_for_m2(self, capsys):
         _, out, _ = run_cli(

@@ -62,6 +62,13 @@ class TestModelParams:
         assert ModelParams(3, 2, Fraction(1, 2), Fraction(1, 3)).exact
         assert not ModelParams(3, 2, 0.5, Fraction(1, 3)).exact
 
+    def test_mixed_pair_is_stored_as_floats(self):
+        params = ModelParams(5, 3, Fraction(3, 10), 0.5)
+        assert type(params.p1) is float and params.p1 == 0.3
+        assert type(params.p2) is float and params.p2 == 0.5
+        params = ModelParams(5, 3, 0.3, Fraction(1, 2))
+        assert (params.p1, params.p2) == (0.3, 0.5) and type(params.p2) is float
+
     def test_n_states(self):
         assert ModelParams(5, 2, 0.3, 0.5).n_states == 32
 

@@ -15,16 +15,19 @@ from nedpca import (
     DimensionMismatch,
     ModelParams,
     SolveFailed,
+    StationaryTable,
     TransitionMatrix,
     audit_detailed_balance,
     balance_residual,
     build_matrix,
     check_irreducible_aperiodic,
     one_directional_pair,
+    ror,
     solve_stationary,
     stationary_table_formula,
     transition_edges,
     transition_prob,
+    window_masks,
 )
 
 REFERENCE = ModelParams(3, 2, Fraction(1, 2), Fraction(1, 3))
@@ -76,6 +79,80 @@ class TestTransitionRow:
         entries = build_matrix(params).entries
         assert entries.dtype == np.float64
         assert entries[0, 1] == pytest.approx(float(transition_prob(0, 1, params)), rel=1e-15)
+
+
+def full_width_build(params):
+    """Reference build: the site loop on all 2**n rows at once, one full-width
+    pass per site, in the order of a per-row Kronecker expansion."""
+    dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
+    p1, p2 = params.p1, params.p2
+    stay = np.array([1, 1 - p1, p2], dtype=dtype)
+    fill = np.array([0, p1, 1 - p2], dtype=dtype)
+    ns = params.n_states
+    open_mask, blocked_mask = window_masks(np.arange(ns, dtype=np.int64), params)
+    entries = np.empty((ns, ns), dtype=dtype)
+    entries[:, 0] = one
+    for i in range(params.n):
+        kind = ((open_mask >> i) & 1) + 2 * ((blocked_mask >> i) & 1)
+        width = 1 << i
+        block = entries[:, :width]
+        np.multiply(block, fill[kind, None], out=entries[:, width : 2 * width])
+        block *= stay[kind, None]
+    return entries
+
+
+def add_at_table(matrix):
+    """Reference solve: Q^T from one 2-D np.add.at over the representatives'
+    rows, then the solver's own elimination."""
+    p, n = matrix.entries, matrix.params.n
+    codes = np.arange(matrix.n_states, dtype=np.int64)
+    canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
+    reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
+    k = len(reps)
+    zero, one = (Fraction(0), Fraction(1)) if p.dtype == object else (0.0, 1.0)
+    aug = np.full((k, k + 1), zero, dtype=p.dtype)
+    np.add.at(aug[:, :k], orbit, p[reps].T)
+    aug[range(k), range(k)] -= one
+    aug[-1] = one
+    mu = nedpca.solver._eliminate(aug)
+    return tuple((mu[orbit] / sizes.astype(p.dtype)[orbit]).tolist())
+
+
+BIT_IDENTITY_POINTS = pytest.mark.parametrize(
+    "p1, p2, n_hi",
+    [(0.3, 0.5, 10), (0.9, 1.0, 10), (0.05, 0.95, 10), (Fraction(1, 3), Fraction(1, 2), 7)],
+    ids=["float-0.3-0.5", "float-0.9-1", "float-0.05-0.95", "exact"],
+)
+
+
+class TestBitIdentity:
+    """The row-blocked build and the flat lump give the bits of the full-width
+    references. `ragged` cuts blocks of 5 rows, so the last block is short."""
+
+    @BIT_IDENTITY_POINTS
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["default", "ragged"])
+    def test_build_equals_full_width_loop(self, monkeypatch, ragged, m, p1, p2, n_hi):
+        for n in range(m, n_hi + 1):
+            if ragged:
+                monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
+            params = ModelParams(n, m, p1, p2)
+            entries, reference = build_matrix(params).entries, full_width_build(params)
+            assert entries.dtype == reference.dtype
+            if params.exact:
+                assert (entries == reference).all(), n
+            else:
+                assert np.array_equal(entries, reference), n
+
+    @BIT_IDENTITY_POINTS
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["default", "ragged"])
+    def test_solve_equals_add_at_lump(self, monkeypatch, ragged, m, p1, p2, n_hi):
+        for n in range(m, n_hi + 1):
+            matrix = build_matrix(ModelParams(n, m, p1, p2))
+            if ragged:
+                monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
+            assert solve_stationary(matrix).probs == add_at_table(matrix), n
 
 
 class TestBuildAndSolve:
@@ -188,6 +265,16 @@ class TestRotationLumping:
         assert all(isinstance(x, Fraction) for x in probs)
         assert probs == stationary_table_formula(params).probs
 
+    def test_solve_holds_no_copy_of_the_representative_rows(self):
+        matrix = build_matrix(ModelParams(12, 2, 0.3, 0.5))
+        tracemalloc.start()
+        try:
+            solve_stationary(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * matrix.entries.nbytes  # p[reps].T alone is 0.09 of it
+
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     def test_identity_matrix_is_singular(self, exact):
         if exact:
@@ -263,6 +350,41 @@ class TestBalanceAudits:
         matrix = build_matrix(ModelParams(n, m, p1, p2))
         table = solve_stationary(matrix)
         assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(table, matrix)
+
+    @pytest.mark.parametrize("block", [nedpca.solver._BLOCK, 4, 8, 12], ids=lambda b: f"rows{max(1, b // 4)}")
+    def test_tied_maximum_keeps_the_dense_witness(self, monkeypatch, block):
+        # uniform pi, so the gap is |P[a, b] - P[b, a]| / 4, exact in binary; it
+        # peaks at 1/8 on the unordered pairs {1, 3} and {2, 3}, off row 0
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", block)
+        params = ModelParams(2, 2, 0.3, 0.5)
+        entries = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.0],
+                [0.25, 0.25, 0.0, 0.5],
+                [0.25, 0.0, 0.25, 0.5],
+                [0.25, 0.0, 0.0, 0.75],
+            ]
+        )
+        matrix = TransitionMatrix(params, entries)
+        table = StationaryTable(params, (0.25,) * 4, "solver")
+        gap = np.abs(0.25 * entries - 0.25 * entries.T)
+        assert np.count_nonzero(np.triu(gap) == gap.max()) == 2
+        assert dense_audit(table, matrix) == (0.125, (1, 3))
+        assert audit_key(audit_detailed_balance(table, matrix)) == (0.125, (1, 3))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_witness_in_a_late_ragged_block(self, monkeypatch, n):
+        # relabel a -> 2**n - 1 - a so the worst pair sits inside a late block
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 6 << n)  # 6 rows: 2**n leaves 2 or 4
+        params = ModelParams(n, 3, 0.3, 0.5)
+        matrix = build_matrix(params)
+        probs = solve_stationary(matrix).probs[::-1]
+        flipped = TransitionMatrix(params, matrix.entries[::-1, ::-1].copy())
+        table = StationaryTable(params, probs, "solver")
+        audit = audit_key(audit_detailed_balance(table, flipped))
+        assert audit == dense_audit(table, flipped)
+        row = audit[1][0]
+        assert row > 6 and row % 6 != 0, row
 
     def test_audit_holds_no_second_matrix(self):
         matrix = build_matrix(ModelParams(10, 3, 0.3, 0.5))
