@@ -78,7 +78,6 @@ from .m2 import (
 from .montecarlo import (
     EmpiricalSummary,
     SimulationPlan,
-    bitparallel_step,
     kernel_throughput,
     run,
     tv_distance,
@@ -150,7 +149,6 @@ __all__ = [
     # Monte Carlo
     "SimulationPlan",
     "EmpiricalSummary",
-    "bitparallel_step",
     "run",
     "tv_distance",
     "kernel_throughput",

@@ -3,18 +3,19 @@
 Both kernels consume exactly one uniform per site per step (the draw is
 discarded at forced sites), in site order, and test it against the same
 doubles, float(p1) and 1 - float(p2), so a scalar and a bit-parallel run with
-the same seed produce bit-identical trajectories. The bit-parallel
-kernel packs each step's n threshold comparisons into machine integers with
-np.packbits and updates all sites with a handful of word operations; _advance
-is the one routine that steps either kernel.
+the same seed produce bit-identical trajectories. The bit-parallel kernel
+packs a chunk's threshold comparisons into one int per step and threshold
+(one numpy call per chunk when n <= 64), reads every site's window from the
+doubled code c | c << n, and updates all sites with a few integer operations
+and no function call; _advance is the one routine that steps either kernel.
 
 Per-chain streams come from numpy's SeedSequence.spawn, so chains never share
 a stream. Each chain draws its uniforms in chunks of at most _CHUNK_DOUBLES
 doubles (1 MiB), whatever the ring size; Philox hands out its doubles in
 order whatever the chunk shape, so chunking cannot change a draw. Rings
-longer than two 64-bit words run one worker thread per chain, up to the
+of at least one 64-bit word run one worker thread per chain, up to the
 usable cores: there the Philox fill and np.packbits, which release the GIL,
-dominate a step, while on shorter rings a second worker measured no faster.
+take a large enough share of a step that a second worker measured faster.
 All accumulators are integers until the final division, so a fixed plan
 gives the same summary whatever the kernel, worker count and chunking. The
 one field outside that guarantee is steps_per_second.
@@ -29,7 +30,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .model import (
     _thresholds,
     pattern_totals,
     scalar_step,
-    window_masks,
 )
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "TRACE_CAP",
     "SimulationPlan",
     "EmpiricalSummary",
-    "bitparallel_step",
     "run",
     "tv_distance",
     "kernel_throughput",
@@ -62,11 +61,12 @@ HISTOGRAM_CAP = 1 << 20  # hard ceiling even when explicitly requested
 TRACE_CAP = 100_000  # max trace lines written per run
 _NUM_BATCHES = 32  # batches per chain for the batch-means error bar
 _CHUNK_DOUBLES = 1 << 17  # uniforms per draw (1 MiB): a chunk is max(1, this // n) steps
-# Smallest ring that runs one worker per chain: more than two 64-bit words.
+# Smallest ring that runs one worker per chain: one full 64-bit word.
 # Steps/s of two chains on 2 workers against 1 (2 vCPUs, Python 3.11.7,
-# median of 5-7 runs): n = 64 0.82-0.90x, 128 1.01x, 160-192 0.96-1.04x,
-# 256 1.08-1.16x, 512 1.21x, 1024 1.41-1.44x.
-_PARALLEL_MIN_N = 129
+# m = 3, 1000 burn-in, 2^21 / n samples, median of 7 alternating runs, two
+# sessions): n = 12 1.03x, 32 1.13-1.33x (some runs below 1x), 48 1.23x,
+# 64 1.24-1.42x, 96 1.31x, 128 1.47x, 256 1.66x, 512 1.84x, 1024 1.80x.
+_PARALLEL_MIN_N = 64
 
 _KERNELS = ("bitparallel", "scalar")
 
@@ -186,6 +186,18 @@ class EmpiricalSummary:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _row_words(bits: np.ndarray) -> list[int]:
+    """One int per row of a boolean (rows, n) array; bit i of word t is bits[t, i]."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    rows, width = packed.shape
+    if width <= 8:  # a row fits one machine word: convert the whole chunk at once
+        words = np.zeros((rows, 8), dtype=np.uint8)
+        words[:, :width] = packed
+        return words.view("<u8").ravel().tolist()
+    data = packed.tobytes()
+    return [int.from_bytes(data[lo : lo + width], "little") for lo in range(0, len(data), width)]
+
+
 def _advance(code: int, params: ModelParams, u: np.ndarray, kernel: str) -> list[int]:
     """Step once per row of u from code; return the code after every step."""
     trajectory = []
@@ -194,23 +206,21 @@ def _advance(code: int, params: ModelParams, u: np.ndarray, kernel: str) -> list
             code = scalar_step(code, params, row)
             trajectory.append(code)
         return trajectory
-    # row t of u holds step t's uniforms; bit i of packed row t answers u[t,i] < x
-    d1, d2 = (np.packbits(u < x, axis=1, bitorder="little").tobytes() for x in _thresholds(params))
-    row_bytes = (params.n + 7) // 8
-    for lo in range(0, len(d1), row_bytes):
-        open_mask, blocked_mask = window_masks(code, params)
-        hi = lo + row_bytes
-        code = (open_mask & int.from_bytes(d1[lo:hi], "little")) | (
-            blocked_mask & int.from_bytes(d2[lo:hi], "little")
-        )
+    # window_masks inline: bit i of doubled >> t is bit (i + t) mod n of code, so
+    # ~occupied & ~closing marks the open vacancies and ~occupied & closing the
+    # blocked ones; b1, b2 have no bit at or above n, so no mask is needed
+    n, m = params.n, params.m
+    inner = range(1, m - 1)
+    x1, x2 = _thresholds(params)
+    for b1, b2 in zip(_row_words(u < x1), _row_words(u < x2)):
+        doubled = code | code << n
+        occupied = code
+        for t in inner:
+            occupied |= doubled >> t
+        closing = doubled >> (m - 1)
+        code = ~occupied & ((b1 & ~closing) | (b2 & closing))
         trajectory.append(code)
     return trajectory
-
-
-def bitparallel_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
-    """One synchronous update using word-level operations; u has one uniform per site."""
-    rows = np.asarray(u, dtype=float).reshape(1, params.n)
-    return _advance(code, params, rows, "bitparallel")[0]
 
 
 def _usable_cores() -> int:

@@ -1,5 +1,6 @@
 """Monte Carlo plumbing: plans, kernels, determinism, merged estimates."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,6 @@ from nedpca import (
     ModelParams,
     ParamError,
     SimulationPlan,
-    bitparallel_step,
     build_matrix,
     density_formula,
     kernel_throughput,
@@ -44,6 +44,10 @@ def summary_payload(plan):
     payload = run(plan).to_json_dict()
     del payload["steps_per_second"]
     return payload
+
+
+def bitparallel_step(code, params, u):
+    return montecarlo._advance(code, params, u.reshape(1, params.n), "bitparallel")[0]
 
 
 class TestPlanValidation:
@@ -112,6 +116,38 @@ class TestKernelAgreement:
             for x in (float(params.p1), float(1 - params.p2), 0.0):
                 u = np.full(8, x)
                 assert scalar_step(code, params, u) == bitparallel_step(code, params, u)
+
+
+class TestChunkAgreement:
+    # whole chunks on both sides of the one-word row (n <= 64) and of the
+    # 64-site word boundaries, against the scalar kernel row for row
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    @pytest.mark.parametrize("n", ["m", 8, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize(
+        "p1, p2", [(0.35, 0.6), (0.3, 1), (Fraction(1, 3), Fraction(1, 2))]
+    )
+    def test_chunk_matches_scalar(self, n, m, p1, p2):
+        n = m if n == "m" else n
+        params = ModelParams(n, m, p1, p2)
+        rng = np.random.default_rng(n * 10 + m)
+        u = rng.random((256, n))
+        # uniforms equal to a threshold double must fail the test in both kernels
+        u[::7, ::3] = float(params.p1)
+        u[3::7, 1::3] = 1 - float(params.p2)
+        random_start = int.from_bytes(rng.bytes(n // 8 + 1), "little") % params.n_states
+        for start in (0, params.n_states - 1, random_start):
+            fast = montecarlo._advance(start, params, u, "bitparallel")
+            assert fast == montecarlo._advance(start, params, u, "scalar")
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_run_kernels_agree_at_the_word_boundary(self, n):
+        plan = SimulationPlan(
+            ModelParams(n, 3, 0.3, 0.5), seed=9, samples=400, chains=2, burn_in=50
+        )
+        fast = summary_payload(plan)
+        slow = summary_payload(dataclasses.replace(plan, kernel="scalar"))
+        assert fast.pop("kernel") == "bitparallel" and slow.pop("kernel") == "scalar"
+        assert fast == slow
 
 
 class TestRunDeterminism:
