@@ -32,7 +32,6 @@ from .model import (
     ror,
     scalar_step,
     site_update_prob,
-    step_sample,
     transition_prob,
     window_masks,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "count_patterns",
     "window_masks",
     "scalar_step",
-    "step_sample",
     # solver
     "TransitionMatrix",
     "BalanceAudit",

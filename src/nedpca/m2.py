@@ -8,11 +8,12 @@ and has rational generating function
 
     sum_n Z_n x^n = (2 - x - p1 x) p2 / (p2 - p2 x (1+p1) - x^2 p1 (1-p1-p2)).
 
-The numerator of the site-density sequence Z_n * P[site occupied] has the
-generating function p1 x (1 - x + q2 x) over the same denominator (scaled by
-p2). The exponential growth rate F = lim (1/n) log Z_n comes from the dominant
-denominator root x_plus as F = -log x_plus; on the line p1 + p2 = 1 the
-denominator turns linear, x_minus runs off to infinity, and F = log(1+p1).
+z2_series expands this GF by power-series long division (a second route to
+Z_n) and z2_log_recurrence iterates Z_{n+1}/Z_n in logs (a third). Z_n times
+P[site occupied] has generating function p1 x (1 - x + q2 x) over the same
+denominator, scaled by p2, which density_series divides out. The growth rate
+F = lim (1/n) log Z_n is -log x_plus for the dominant denominator root; on
+p1 + p2 = 1 the denominator turns linear, x_minus runs off, F = log(1+p1).
 """
 
 from __future__ import annotations
@@ -45,11 +46,13 @@ SERIES_CAP = 10_000
 REMOVABLE_WINDOW = 1e-9
 
 
-def _validate(p1: float, p2: float) -> tuple[float, float]:
+def _validate(p1: float, p2: float, n_max: int = 2) -> tuple[float, float]:
     if not 0 < p1 < 1:
         raise ParamError(f"p1 must lie in (0,1), got {p1!r}")
     if not 0 < p2 <= 1:
         raise ParamError(f"p2 must lie in (0,1], got {p2!r}")
+    if n_max < 2:  # a sequence carries at least Z_0..Z_2
+        raise ParamError(f"need n_max >= 2, got {n_max}")
     return float(p1), float(p2)
 
 
@@ -77,13 +80,13 @@ def z2_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     Seeds are Z_0 = 2, Z_1 = 1 + p1 and Z_2 (see _z2_seed), because the
     recurrence itself only holds from n = 2 on.
     """
-    p1, p2 = _validate(p1, p2)
-    if n_max < 2:
-        raise ParamError(f"need n_max >= 2, got {n_max}")
-    z = [2.0, 1.0 + p1, _z2_seed(p1, p2)]
-    for n in range(n_max - 2):
-        z.append((p1 * (1.0 - p1 - p2) * z[-2] + p2 * (1.0 + p1) * z[-1]) / p2)
-    if not math.isfinite(z[-1]):  # past an overflow, 0 * inf or inf - inf gives NaN
+    p1, p2 = _validate(p1, p2, n_max)
+    a, b = p1 * (1.0 - p1 - p2), p2 * (1.0 + p1)  # * runs left to right: same products
+    z = [2.0, prev := 1.0 + p1, cur := _z2_seed(p1, p2)]
+    for _ in range(n_max - 2):
+        prev, cur = cur, (a * prev + b * cur) / p2
+        z.append(cur)
+    if not math.isfinite(cur):  # past an overflow, 0 * inf or inf - inf gives NaN
         first = z.index(math.inf)
         z[first:] = [math.inf] * (len(z) - first)
     return tuple(z)
@@ -97,9 +100,7 @@ def z2_log_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     Neumaier compensated sum, so the rounding of the running total does not
     build up over thousands of steps.
     """
-    p1, p2 = _validate(p1, p2)
-    if n_max < 2:
-        raise ParamError(f"need n_max >= 2, got {n_max}")
+    p1, p2 = _validate(p1, p2, n_max)
     z2 = _z2_seed(p1, p2)
     out = [math.log(2.0), math.log1p(p1), math.log(z2)]
     a = 1.0 + p1
@@ -139,15 +140,12 @@ class SeriesCoefficients:
 
 
 def _divide_series(num: list[float], den: list[float], n_max: int) -> tuple[float, ...]:
-    # coefficient recursion of num(x)/den(x); den[0] != 0
-    if n_max < 2:
-        raise ParamError(f"need n_max >= 2, got {n_max}")
+    # coefficient recursion of num(x)/den(x) for a quadratic den; den[0] != 0
     if n_max > SERIES_CAP:
         raise BudgetExceeded(f"series expansion capped at n_max <= {SERIES_CAP}")
     coeffs = []
-    for k in range(n_max + 1):
-        parts = [num[k]] if k < len(num) else []
-        parts += [-den[j] * coeffs[k - j] for j in range(1, min(k, len(den) - 1) + 1)]
+    for k in range(len(num)):  # up to three terms: fsum rounds their exact sum once
+        parts = [num[k]] + [-den[j] * coeffs[k - j] for j in range(1, min(k, 2) + 1)]
         try:
             c = math.fsum(parts) / den[0]
         except (OverflowError, ValueError):  # a partial sum overflows, or inf - inf
@@ -155,6 +153,14 @@ def _divide_series(num: list[float], den: list[float], n_max: int) -> tuple[floa
         if not math.isfinite(c):
             raise OverflowError(f"series coefficient {k} overflows the float range")
         coeffs.append(c)
+    d0, d1, d2 = den[0], -den[1], -den[2]
+    c2, c1 = coeffs[-2], coeffs[-1]
+    for k in range(len(num), n_max + 1):
+        # two rounded products: IEEE 754 rounds their sum once, so + equals fsum
+        c2, c1 = c1, (d1 * c1 + d2 * c2) / d0
+        if not math.isfinite(c1):
+            raise OverflowError(f"series coefficient {k} overflows the float range")
+        coeffs.append(c1)
     return tuple(coeffs)
 
 
@@ -163,7 +169,7 @@ def z2_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
 
     Coefficient n equals Z_{n,2}.
     """
-    p1, p2 = _validate(p1, p2)
+    p1, p2 = _validate(p1, p2, n_max)
     num = [2.0 * p2, -(1.0 + p1) * p2]
     den = [p2, -p2 * (1.0 + p1), -p1 * (1.0 - p1 - p2)]
     return SeriesCoefficients("partition", p1, p2, _divide_series(num, den, n_max))
@@ -175,7 +181,7 @@ def density_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
     Coefficient n equals Z_{n,2} times the stationary single-site occupation
     probability, so c_n / Z_{n,2} recovers the density.
     """
-    p1, p2 = _validate(p1, p2)
+    p1, p2 = _validate(p1, p2, n_max)
     q2 = q2_parameter(p1, p2)
     num = [0.0, p1, p1 * (q2 - 1.0)]
     den = [1.0, -(1.0 + p1), p1 * (1.0 - q2)]
@@ -208,12 +214,9 @@ def free_energy_grid(
     """(p1, p2, F) rows over a count x count grid, p2 varying slowest."""
     if count < 1:
         raise ParamError(f"need count >= 1, got {count}")
-    if not 0 < lo <= hi:
-        raise ParamError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
-    if count == 1:
-        values = [lo]
-    else:
-        values = [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    if not 0 < lo <= hi < 1:  # p1 and p2 both run over these values
+        raise ParamError(f"need 0 < lo <= hi < 1, got lo={lo}, hi={hi}")
+    values = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
     return [(p1, p2, free_energy(p1, p2)) for p2 in values for p1 in values]
 
 
@@ -278,8 +281,5 @@ def asymptotic_z2(n: int, p1: float, p2: float) -> float:
     poles = pole_data(p1, p2)
     xp, xm = poles.x_plus, poles.x_minus
     delta = (1.0 - p1 - p2) / p2
-
-    def z0(x: float) -> float:
-        return (x + p1 * x - 2.0) / (p1 * delta)
-
-    return z0(xp) / (xp * (xm - xp)) * xp ** (-n)
+    z0 = (xp + p1 * xp - 2.0) / (p1 * delta)  # Z0(x_plus)
+    return z0 / (xp * (xm - xp)) * xp ** (-n)

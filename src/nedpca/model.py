@@ -44,7 +44,6 @@ __all__ = [
     "classify_window",
     "site_update_prob",
     "transition_prob",
-    "step_sample",
     "scalar_step",
     "window_masks",
     "ror",
@@ -359,14 +358,3 @@ def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
         elif u[i] < p1:
             new |= 1 << i
     return new
-
-
-def step_sample(alpha: ConfigLike, params: ModelParams, rng) -> Configuration:
-    """Draw one synchronous update of alpha; consumes exactly n uniforms from rng.
-
-    All windows are classified against the old configuration before any bit is
-    written, matching the simultaneous-update semantics.
-    """
-    conf = Configuration.coerce(alpha, params.n)
-    u = rng.random(params.n)
-    return Configuration(scalar_step(conf.code, params, u), params.n)

@@ -19,11 +19,17 @@ from nedpca import (
     scalar_step,
     site_update_prob,
     stationary_table_formula,
-    step_sample,
     transition_prob,
     window_masks,
 )
 from nedpca.model import pattern_totals
+
+
+def step_sample(alpha, params, rng):
+    """Reference: one synchronous update of alpha from exactly n uniforms of rng."""
+    conf = Configuration.coerce(alpha, params.n)
+    return Configuration(scalar_step(conf.code, params, rng.random(params.n)), params.n)
+
 
 small_params = st.builds(
     lambda n_extra, m, p1, p2: ModelParams(m + n_extra, m, p1, p2),
