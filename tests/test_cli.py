@@ -277,6 +277,12 @@ class TestM2:
         rows = [f"{p1!r},{p2!r},{f!r}" for p1, p2, f in free_energy_grid(3)]
         assert out == "\n".join(["p1,p2,F"] + rows) + "\n"
 
+    def test_grid_rejects_hi_of_one(self, capsys):
+        code, out, err = run_cli(capsys, "m2", "--grid", "3", "--p-hi", "1.0")
+        assert code == 2
+        assert out == ""
+        assert "lo=0.02, hi=1.0" in err and "p1 must" not in err
+
     def test_series_csv(self, capsys):
         code, out, _ = run_cli(
             capsys, "m2", "--p1", "0.3", "--p2", "0.5", "--series", "8"

@@ -1,6 +1,7 @@
 """Nearest-neighbour analytics: recurrence, series, poles, free energy."""
 
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -27,6 +28,89 @@ from nedpca import (
 )
 
 probs = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 1.0))
+
+
+# ---- references: the straightforward loops the fast ones must match bit for bit ----
+
+
+def divide_series_reference(num, den, n_max):
+    """Long division with one math.fsum over every term of each coefficient."""
+    coeffs = []
+    for k in range(n_max + 1):
+        parts = [num[k]] if k < len(num) else []
+        parts += [-den[j] * coeffs[k - j] for j in range(1, min(k, len(den) - 1) + 1)]
+        try:
+            c = math.fsum(parts) / den[0]
+        except (OverflowError, ValueError):
+            c = math.inf
+        if not math.isfinite(c):
+            raise OverflowError(f"series coefficient {k} overflows the float range")
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+def z2_series_reference(n_max, p1, p2):
+    num = [2.0 * p2, -(1.0 + p1) * p2]
+    den = [p2, -p2 * (1.0 + p1), -p1 * (1.0 - p1 - p2)]
+    return divide_series_reference(num, den, n_max)
+
+
+def density_series_reference(n_max, p1, p2):
+    q2 = (1.0 - p1) / p2
+    num = [0.0, p1, p1 * (q2 - 1.0)]
+    den = [1.0, -(1.0 + p1), p1 * (1.0 - q2)]
+    return divide_series_reference(num, den, n_max)
+
+
+def z2_recurrence_reference(n_max, p1, p2):
+    """The three-term recurrence read off the list's last two entries."""
+    z = [2.0, 1.0 + p1, 1.0 + p1 * p1 + 2.0 * p1 * (1.0 - p1) / p2]
+    for _ in range(n_max - 2):
+        z.append((p1 * (1.0 - p1 - p2) * z[-2] + p2 * (1.0 + p1) * z[-1]) / p2)
+    if not math.isfinite(z[-1]):
+        first = z.index(math.inf)
+        z[first:] = [math.inf] * (len(z) - first)
+    return tuple(z)
+
+
+def _outcome(fn, n_max, p1, p2):
+    # the bits of every value (float.hex tells -0.0 from 0.0), or the overflow message
+    try:
+        value = fn(n_max, p1, p2)
+    except OverflowError as exc:
+        return ("OverflowError", str(exc))
+    return tuple(x.hex() for x in getattr(value, "coeffs", value))
+
+
+_rng = random.Random(20261019)
+BIT_POINTS = [(0.5, 0.05), (0.9, 0.2), (0.02, 0.98), (0.3, 1.0), (0.3, 0.7)]
+BIT_POINTS += [(_rng.uniform(0.001, 0.999), _rng.uniform(0.001, 1.0)) for _ in range(100)]
+BIT_POINTS += [(5e-324, 1.0), (0.5, 5e-324), (1.0 - 2.0**-53, 1e-300), (1e-300, 0.5)]
+BIT_LENGTHS = (2, 3, 4, 50, 3000)
+BIT_ROUTES = [
+    (z2_series, z2_series_reference),
+    (density_series, density_series_reference),
+    (z2_recurrence, z2_recurrence_reference),
+]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize(
+        "fast, reference", BIT_ROUTES, ids=[fast.__name__ for fast, _ in BIT_ROUTES]
+    )
+    @pytest.mark.parametrize("n_max", BIT_LENGTHS)
+    def test_matches_reference_bit_for_bit(self, fast, reference, n_max):
+        for p1, p2 in BIT_POINTS:
+            assert _outcome(fast, n_max, p1, p2) == _outcome(reference, n_max, p1, p2), (p1, p2)
+
+    def test_points_reach_overflow_and_inf_tails(self):
+        # the comparison above covers the raise and the inf tail, not only finite runs
+        raised = {
+            fast.__name__: sum(_outcome(fast, 3000, *p)[0] == "OverflowError" for p in BIT_POINTS)
+            for fast, _ in BIT_ROUTES[:2]
+        }
+        tails = sum(z2_recurrence(3000, *p)[-1] == math.inf for p in BIT_POINTS)
+        assert min(raised.values()) >= 10 and tails >= 10, (raised, tails)
 
 
 class TestRecurrence:
@@ -242,3 +326,9 @@ class TestGridHelper:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ParamError):
             free_energy_grid(3, 0.5, 0.2)
+
+    @pytest.mark.parametrize("hi", [1.0, 1.5])
+    def test_rejects_hi_outside_p1_range(self, hi):
+        # the grid values serve as p1 too, and p1 = 1 is outside the model
+        with pytest.raises(ParamError, match=rf"lo=0\.02, hi={hi}"):
+            free_energy_grid(3, hi=hi)
