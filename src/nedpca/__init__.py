@@ -47,8 +47,6 @@ from .solver import (
     transition_edges,
 )
 from .closedforms import (
-    CompositionSet,
-    IndexPairSet,
     WeightTerm,
     density_formula,
     enumerate_compositions,
@@ -62,7 +60,6 @@ from .closedforms import (
 )
 from .m2 import (
     PoleData,
-    SeriesCoefficients,
     asymptotic_z2,
     density_series,
     free_energy,
@@ -123,8 +120,6 @@ __all__ = [
     "stationary_table_formula",
     "position_pairs",
     "reversibility_ratio",
-    "IndexPairSet",
-    "CompositionSet",
     "WeightTerm",
     "enumerate_index_pairs",
     "enumerate_compositions",
@@ -132,7 +127,6 @@ __all__ = [
     "partition_formula",
     "density_formula",
     # m = 2 analytics
-    "SeriesCoefficients",
     "PoleData",
     "q2_parameter",
     "z2_recurrence",

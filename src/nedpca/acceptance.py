@@ -239,7 +239,7 @@ def criterion_06() -> CheckResult:
     worst_a = 0.0
     for p1, p2 in GRID:
         rec = z2_recurrence(n_hi, p1, p2)
-        ser = z2_series(n_hi, p1, p2).coeffs
+        ser = z2_series(n_hi, p1, p2)
         for n in range(2, n_hi + 1):
             worst_a = max(worst_a, abs(rec[n] - ser[n]) / rec[n])
             z = partition_formula(ModelParams(n, 2, p1, p2))
@@ -293,8 +293,8 @@ def criterion_08() -> CheckResult:
     n_hi = 12
     worst, worst_at = 0.0, None
     for p1, p2 in GRID:
-        num = density_series(n_hi, p1, p2).coeffs
-        den = z2_series(n_hi, p1, p2).coeffs
+        num = density_series(n_hi, p1, p2)
+        den = z2_series(n_hi, p1, p2)
         for n in range(2, n_hi + 1):
             rho = density_formula(ModelParams(n, 2, p1, p2))
             gap = abs(num[n] / den[n] - rho)

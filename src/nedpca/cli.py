@@ -196,7 +196,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
         pass  # past the table's cap the check stays null
     if params.m == 2:
         zr = m2mod.z2_recurrence(params.n, float(params.p1), float(params.p2))[params.n]
-        checks["recurrence_rel_gap"] = abs(zr - float(z)) / float(z)
+        if math.isfinite(zr):  # past the float range the check stays null
+            checks["recurrence_rel_gap"] = abs(zr - float(z)) / float(z)
     payload = {
         "n": params.n,
         "m": params.m,

@@ -51,8 +51,6 @@ from .model import (
 
 __all__ = [
     "TABLE_CAP",
-    "IndexPairSet",
-    "CompositionSet",
     "WeightTerm",
     "stationary_weight",
     "stationary_table_formula",
@@ -108,7 +106,7 @@ def stationary_table_formula(params: ModelParams) -> StationaryTable:
         raise BudgetExceeded(f"n={params.n} exceeds the table cap {TABLE_CAP}")
     weights = _weights(params)
     z = sum(weights) if params.exact else math.fsum(weights)
-    return StationaryTable(params=params, probs=tuple((weights / z).tolist()), source="formula")
+    return StationaryTable(params=params, probs=tuple((weights / z).tolist()))
 
 
 # ---- Reversibility ----
@@ -163,27 +161,7 @@ def reversibility_ratio(alpha: ConfigLike, beta: ConfigLike, params: ModelParams
 # ---- Combinatorial index sets ----
 
 
-@dataclass(frozen=True)
-class IndexPairSet:
-    """The admissible (M, N) pairs for a given n, m, k."""
-
-    n: int
-    m: int
-    k: int
-    pairs: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class CompositionSet:
-    """Tuples (x_1..x_{m-2}) in {0..k}^{m-2} with weighted sum M."""
-
-    M: int
-    k: int
-    m: int
-    tuples: tuple[tuple[int, ...], ...]
-
-
-def enumerate_index_pairs(n: int, m: int, k: int) -> IndexPairSet:
+def enumerate_index_pairs(n: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     """All pairs (M, N) with M in {0..n-k-m+1} union {n-k},
     0 <= N <= floor((n-k-M)/(m-1)), and N = 0 exactly when M = n-k.
     """
@@ -199,13 +177,13 @@ def enumerate_index_pairs(n: int, m: int, k: int) -> IndexPairSet:
             if (big_n == 0) != (big_m == n - k):
                 continue
             pairs.append((big_m, big_n))
-    return IndexPairSet(n=n, m=m, k=k, pairs=tuple(pairs))
+    return tuple(pairs)
 
 
-def enumerate_compositions(M: int, k: int, m: int) -> CompositionSet:
+def enumerate_compositions(M: int, k: int, m: int) -> tuple[tuple[int, ...], ...]:
     """All (x_1..x_{m-2}) with 0 <= x_s <= k and sum_s s*x_s = M.
 
-    For m=2 the tuple is empty: the set holds exactly the empty tuple when
+    For m=2 the tuple is empty: the result holds exactly the empty tuple when
     M=0 and nothing otherwise.
     """
     if M < 0:
@@ -224,7 +202,7 @@ def enumerate_compositions(M: int, k: int, m: int) -> CompositionSet:
             extend(pos + 1, remaining - pos * v, prefix + (v,))
 
     extend(1, M, ())
-    return CompositionSet(M=M, k=k, m=m, tuples=tuple(found))
+    return tuple(found)
 
 
 # ---- Weight terms ----
@@ -248,16 +226,8 @@ class WeightTerm:
     occupied_multiplicity: int
 
     @property
-    def p1_exponent(self) -> int:
-        return self.k
-
-    @property
     def one_minus_p1_exponent(self) -> int:
         return self.M + (self.m - 1) * self.N
-
-    @property
-    def p2_exponent(self) -> int:
-        return -self.N
 
     @property
     def m(self) -> int:
@@ -289,8 +259,8 @@ def weight_terms(params: ModelParams) -> Iterator[WeightTerm]:
     the empty configuration is not a term and is added by the evaluators)."""
     n, m = params.n, params.m
     for k in range(1, n + 1):
-        for big_m, big_n in enumerate_index_pairs(n, m, k).pairs:
-            for x in enumerate_compositions(big_m, k, m).tuples:
+        for big_m, big_n in enumerate_index_pairs(n, m, k):
+            for x in enumerate_compositions(big_m, k, m):
                 last = k - big_n - sum(x)
                 if last < 0:
                     continue  # impossible selection; the multinomial is 0

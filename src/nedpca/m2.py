@@ -26,7 +26,6 @@ from .errors import BudgetExceeded, DegenerateDenominator, NedpcaError, ParamErr
 __all__ = [
     "SERIES_CAP",
     "REMOVABLE_WINDOW",
-    "SeriesCoefficients",
     "PoleData",
     "q2_parameter",
     "gf_denominator",
@@ -123,22 +122,6 @@ def z2_log_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
 # ---- Series expansion ----
 
 
-@dataclass(frozen=True)
-class SeriesCoefficients:
-    """Finite power-series prefix c_0..c_K of one of the two m=2 generating functions."""
-
-    kind: str  # "partition" or "density"
-    p1: float
-    p2: float
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("partition", "density"):
-            raise ParamError(f"kind must be 'partition' or 'density', got {self.kind!r}")
-        if len(self.coeffs) < 3:
-            raise ParamError("series must carry at least c_0..c_2")
-
-
 def _divide_series(num: list[float], den: list[float], n_max: int) -> tuple[float, ...]:
     # coefficient recursion of num(x)/den(x) for a quadratic den; den[0] != 0
     if n_max > SERIES_CAP:
@@ -164,7 +147,7 @@ def _divide_series(num: list[float], den: list[float], n_max: int) -> tuple[floa
     return tuple(coeffs)
 
 
-def z2_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
+def z2_series(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     """Long-division expansion of the partition generating function.
 
     Coefficient n equals Z_{n,2}.
@@ -172,10 +155,10 @@ def z2_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
     p1, p2 = _validate(p1, p2, n_max)
     num = [2.0 * p2, -(1.0 + p1) * p2]
     den = [p2, -p2 * (1.0 + p1), -p1 * (1.0 - p1 - p2)]
-    return SeriesCoefficients("partition", p1, p2, _divide_series(num, den, n_max))
+    return _divide_series(num, den, n_max)
 
 
-def density_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
+def density_series(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     """Long-division expansion of the density-numerator generating function.
 
     Coefficient n equals Z_{n,2} times the stationary single-site occupation
@@ -185,7 +168,7 @@ def density_series(n_max: int, p1: float, p2: float) -> SeriesCoefficients:
     q2 = q2_parameter(p1, p2)
     num = [0.0, p1, p1 * (q2 - 1.0)]
     den = [1.0, -(1.0 + p1), p1 * (1.0 - q2)]
-    return SeriesCoefficients("density", p1, p2, _divide_series(num, den, n_max))
+    return _divide_series(num, den, n_max)
 
 
 # ---- Free energy and poles ----
@@ -231,7 +214,6 @@ class PoleData:
 
     x_plus: float
     x_minus: float
-    q2: float
 
 
 def pole_data(p1: float, p2: float) -> PoleData:
@@ -248,10 +230,9 @@ def pole_data(p1: float, p2: float) -> PoleData:
         raise DegenerateDenominator(
             "denominator is linear on p1 + p2 = 1; no quadratic pole pair exists"
         )
-    q2 = q2_parameter(p1, p2)
     # q2 - 1 computed without cancellation; it controls both roots near the line
     delta = (1.0 - p1 - p2) / p2
-    disc = (1.0 - p1) ** 2 + 4.0 * p1 * q2
+    disc = (1.0 - p1) ** 2 + 4.0 * p1 * q2_parameter(p1, p2)
     root = math.sqrt(disc)
     # rationalized form of the (-(1+p1) + root) branch: no cancellation near q2 = 1
     x_plus = 2.0 / ((1.0 + p1) + root)
@@ -261,7 +242,7 @@ def pole_data(p1: float, p2: float) -> PoleData:
         scale = max(1.0, abs(p2 * (1.0 + p1) * x), abs(p1 * (1.0 - p1 - p2) * x * x))
         if not abs(gf_denominator(x, p1, p2)) < 1e-12 * scale:
             raise NedpcaError(str((x, p1, p2)))
-    return PoleData(x_plus=x_plus, x_minus=x_minus, q2=q2)
+    return PoleData(x_plus=x_plus, x_minus=x_minus)
 
 
 def asymptotic_z2(n: int, p1: float, p2: float) -> float:

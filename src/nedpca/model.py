@@ -155,13 +155,6 @@ class Configuration:
     def to_string(self) -> str:
         return "".join("1" if b else "0" for b in self.bits())
 
-    def popcount(self) -> int:
-        return self.code.bit_count()
-
-    def rotated(self, k: int = 1) -> "Configuration":
-        """The configuration read k sites further along: site i becomes old site i+k."""
-        return Configuration(ror(self.code, k, self.n), self.n)
-
     def __str__(self) -> str:
         return self.to_string()
 
@@ -178,11 +171,8 @@ class StationaryTable:
 
     params: ModelParams
     probs: tuple
-    source: str  # "solver" or "formula"
 
     def __post_init__(self) -> None:
-        if self.source not in ("solver", "formula"):
-            raise ParamError(f"source must be 'solver' or 'formula', got {self.source!r}")
         if len(self.probs) != self.params.n_states:
             raise DimensionMismatch(
                 f"table length {len(self.probs)} != 2**n = {self.params.n_states}"
@@ -190,21 +180,6 @@ class StationaryTable:
 
     def prob(self, beta: ConfigLike):
         return self.probs[Configuration.coerce(beta, self.params.n).code]
-
-    def to_json_dict(self) -> dict:
-        p = self.params
-
-        def _num(x):
-            return str(x) if isinstance(x, Fraction) else float(x)
-
-        return {
-            "n": p.n,
-            "m": p.m,
-            "p1": _num(p.p1),
-            "p2": _num(p.p2),
-            "source": self.source,
-            "probs": [_num(x) for x in self.probs],
-        }
 
 
 # ---- Pattern statistics ----

@@ -23,7 +23,6 @@ one field outside that guarantee is steps_per_second.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -181,9 +180,6 @@ class EmpiricalSummary:
             "histogram": None if self.histogram is None else list(self.histogram),
             "steps_per_second": safe(self.steps_per_second),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _row_words(bits: np.ndarray) -> list[int]:

@@ -170,7 +170,7 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     if p.dtype != object and not np.isfinite(mu).all():
         raise SolveFailed("stationary solve produced non-finite entries")
     pi = mu[orbit] / sizes.astype(p.dtype)[orbit]
-    return StationaryTable(params=matrix.params, probs=tuple(pi.tolist()), source="solver")
+    return StationaryTable(params=matrix.params, probs=tuple(pi.tolist()))
 
 
 def check_irreducible_aperiodic(matrix: TransitionMatrix) -> bool:

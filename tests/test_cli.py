@@ -119,6 +119,16 @@ class TestPartition:
         payload = json.loads(out)
         assert payload["checks"]["recurrence_rel_gap"] < 1e-10
 
+    @pytest.mark.parametrize("n, reported", [(1500, True), (3000, False)])
+    def test_exact_z_outlives_the_float_recurrence(self, capsys, n, reported):
+        # from n = 2058 on the float recurrence is inf while exact Z runs on
+        code, out, _ = run_cli(
+            capsys, "partition", "-n", str(n), "-m", "2", "--p1", "1/3", "--p2", "1/2"
+        )
+        assert code == 0
+        gap = json.loads(out)["checks"]["recurrence_rel_gap"]
+        assert gap < 1e-12 if reported else gap is None
+
     @pytest.mark.parametrize(
         "argv, reported",
         [

@@ -304,7 +304,7 @@ class TestEstimates:
 
     def test_json_round_trip(self):
         summary = run(make_plan())
-        payload = json.loads(summary.to_json())
+        payload = json.loads(json.dumps(summary.to_json_dict()))
         assert payload["n"] == 6 and payload["m"] == 3
         assert payload["samples"] == 1000
         assert len(payload["histogram"]) == 64

@@ -3,6 +3,8 @@
 import ast
 import dataclasses
 import importlib
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -117,3 +119,13 @@ def test_bench_calls_only_the_public_api():
     assert imported and keywords
     assert imported - set(nedpca.__all__) == set()
     assert keywords - {f.name for f in dataclasses.fields(nedpca.SimulationPlan)} == set()
+
+
+def test_readme_library_surface_is_exported():
+    # a name that leaves the package but stays in README's import block fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^    from nedpca import \(.*?^    \)$", readme, re.M | re.S)
+    assert block
+    (node,) = ast.parse(textwrap.dedent(block.group(0))).body
+    names = {a.name for a in node.names}
+    assert names and names - set(nedpca.__all__) == set()
