@@ -84,7 +84,6 @@ class TestConfiguration:
         conf = Configuration.from_string("10010")
         assert conf.to_string() == "10010"
         assert conf.code == 0b01001  # site 1 is the least significant bit
-        assert conf.code.bit_count() == 2
 
     def test_bit_is_one_based_and_cyclic(self):
         conf = Configuration.from_string("100")
