@@ -59,7 +59,10 @@ def _parse_prob(text: str):
     """'3/10' becomes an exact Fraction, anything else a float."""
     text = str(text).strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:  # argparse reports this as a usage error, exit 2
+            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     return float(text)
 
 
@@ -390,6 +393,9 @@ def main(argv: Optional[list] = None) -> int:
         return 2
     except OverflowError as exc:
         print(f"error: float overflow: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an --out or --trace path that cannot be written
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

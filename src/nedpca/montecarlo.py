@@ -16,13 +16,18 @@ order whatever the chunk shape, so chunking cannot change a draw. Rings
 of at least one 64-bit word run one worker thread per chain, up to the
 usable cores: there the Philox fill and np.packbits, which release the GIL,
 take a large enough share of a step that a second worker measured faster.
-All accumulators are integers until the final division, so a fixed plan
-gives the same summary whatever the kernel, worker count and chunking. The
-one field outside that guarantee is steps_per_second.
+Each chain keeps one integer table with a row per batch of retained samples,
+[samples, n1, *n10r1, n0m1], filled by one pattern_totals call per batch
+segment of a chunk; the density mean, its batch-means stderr and the pattern
+means are all read off the chains' rows. All accumulators are integers until
+the final division, so a fixed plan gives the same summary whatever the
+kernel, worker count and chunking. The one field outside that guarantee is
+steps_per_second.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import threading
@@ -227,10 +232,9 @@ def _usable_cores() -> int:
 
 @dataclass
 class _ChainResult:
-    batch_ones: list
-    batch_sizes: list
+    # one row per batch: [samples, *pattern_totals] over the batch's retained samples
+    table: list
     histogram: Optional[np.ndarray]
-    pattern_sums: list  # as pattern_totals, over the chain's retained samples
     trace: Optional[list]
 
 
@@ -242,9 +246,7 @@ def _run_chain(
     rng = np.random.Generator(np.random.Philox(child_seed))
     rows = max(1, _CHUNK_DOUBLES // n)
     hist = np.zeros(params.n_states, dtype=np.int64) if plan.histogram_enabled else None
-    batch_ones = [0] * _NUM_BATCHES
-    batch_sizes = [0] * _NUM_BATCHES
-    pattern_sums = [0] * params.m
+    table = [[0] * (params.m + 1) for _ in range(_NUM_BATCHES)]
     trace = [] if plan.trace_path and chain_index == 0 else None
 
     total_steps = plan.burn_in + plan.samples * plan.thin
@@ -259,22 +261,20 @@ def _run_chain(
         code = trajectory[-1]
         kept = trajectory[max(first - done, (first - done) % plan.thin) :: plan.thin]
         done += len(trajectory)
-        ones = [c.bit_count() for c in kept]
         i = 0
-        while i < len(ones):
+        while i < len(kept):
             # sample j falls in batch j * _NUM_BATCHES // samples; end starts the next batch
             b = (retained + i) * _NUM_BATCHES // plan.samples
-            end = min(len(ones), -(-(b + 1) * plan.samples // _NUM_BATCHES) - retained)
-            batch_ones[b] += sum(ones[i:end])
-            batch_sizes[b] += end - i
+            end = min(len(kept), -(-(b + 1) * plan.samples // _NUM_BATCHES) - retained)
+            counts = [end - i, *pattern_totals(kept[i:end], params)]
+            table[b] = [x + y for x, y in zip(table[b], counts)]
             i = end
-        retained += len(ones)
-        pattern_sums = [x + y for x, y in zip(pattern_sums, pattern_totals(kept, params))]
+        retained += len(kept)
         if hist is not None:
             hist += np.bincount(np.asarray(kept, dtype=np.int64), minlength=params.n_states)
         if trace is not None:
             trace.extend(Configuration(c, n).to_string() for c in kept[: TRACE_CAP - len(trace)])
-    return _ChainResult(batch_ones, batch_sizes, hist, pattern_sums, trace)
+    return _ChainResult(table, hist, trace)
 
 
 def run(plan: SimulationPlan) -> EmpiricalSummary:
@@ -292,46 +292,40 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
             stop.set()
             raise
 
+    # the trace is opened before any chain steps, so a bad path costs no sampling
+    trace_file = open(plan.trace_path, "w") if plan.trace_path else contextlib.nullcontext()
     t0 = time.perf_counter()
     # leaving the pool joins its workers, so a failure or an interrupt must
     # stop the other chains first
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with trace_file, ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             results = list(pool.map(chain, range(plan.chains), children))
         except BaseException:
             stop.set()
             raise
-    elapsed = time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
+        if results[0].trace is not None:
+            trace_file.writelines(line + "\n" for line in results[0].trace)
     total_steps = plan.chains * (plan.burn_in + plan.samples * plan.thin)
     steps_per_second = total_steps / elapsed if elapsed > 0 else float("inf")
 
     total_samples = plan.samples * plan.chains
     denom = total_samples * n
     nan = float("nan")
-    density_mean = sum(sum(r.batch_ones) for r in results) / denom if denom else nan
-    batch_means = [
-        ones / (size * n)
-        for r in results
-        for ones, size in zip(r.batch_ones, r.batch_sizes)
-        if size
-    ]
+    rows = [row for r in results for row in r.table]
+    means = [sum(col) / denom if denom else nan for col in list(zip(*rows))[1:]]
+    pattern_means = {"n1": means[0], "n10r1": tuple(means[1:-1]), "n0m1": means[-1]}
+    batch_means = [ones / (size * n) for size, ones, *_ in rows if size]
     density_stderr = nan
     if len(batch_means) >= 2:
         density_stderr = float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
 
     hist = sum(r.histogram for r in results) if plan.histogram_enabled else None
-    sums = [sum(col) for col in zip(*(r.pattern_sums for r in results))]
-    means = [x / denom if denom else nan for x in sums]
-    pattern_means = {"n1": means[0], "n10r1": tuple(means[1:-1]), "n0m1": means[-1]}
-
-    if results[0].trace is not None:
-        with open(plan.trace_path, "w") as fh:
-            fh.writelines(line + "\n" for line in results[0].trace)
 
     return EmpiricalSummary(
         plan=plan,
         total_samples=total_samples,
-        density_mean=density_mean,
+        density_mean=means[0],
         density_stderr=density_stderr,
         pattern_means=pattern_means,
         histogram=None if hist is None else tuple(int(x) for x in hist),

@@ -11,6 +11,7 @@ import pytest
 
 import nedpca.acceptance
 import nedpca.cli
+import nedpca.montecarlo
 import nedpca.solver
 from nedpca import ModelParams, SimulationPlan, build_matrix, free_energy_grid, run
 from nedpca.cli import build_parser, main
@@ -409,6 +410,55 @@ class TestConfigAndErrors:
         code, out, err = run_cli(capsys, *argv, "--config", str(conf))
         assert (code, out) == (2, "")
         assert "unknown config keys: ['exact_rational']" in err
+
+    @pytest.mark.parametrize("command", ["exact", "partition", "simulate", "m2"])
+    @pytest.mark.parametrize("p1, p2", [("1/0", "0.5"), ("0.3", "0/0")])
+    def test_zero_denominator_exits_2(self, capsys, command, p1, p2):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--p1", p1, "--p2", p2])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "Traceback" not in err
+        bad = p1 if "/0" in p1 else p2
+        assert err.splitlines()[-1].endswith(f"zero denominator in '{bad}'")
+
+    def test_zero_denominator_in_config_exits_2(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n = 4\nm = 2\np1 = 1/0\np2 = 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--config", str(conf)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "argument --p1: zero denominator in '1/0'"
+        )
+
+    @pytest.mark.parametrize("command", ["exact", "partition", "simulate", "m2", "verify"])
+    def test_unwritable_out_exits_2(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.setattr(nedpca.acceptance, "run_level", lambda level: [])
+        target = tmp_path / "absent" / "x.txt"
+        argv = {
+            "exact": ["-n", "3", "-m", "2", "--p1", "0.3", "--p2", "0.5"],
+            "partition": ["-n", "3", "-m", "2", "--p1", "0.3", "--p2", "0.5"],
+            "simulate": ["-n", "3", "-m", "2", "--p1", "0.3", "--p2", "0.5", "--samples", "5"],
+            "m2": ["--p1", "0.3", "--p2", "0.5"],
+            "verify": [],
+        }[command]
+        code, out, err = run_cli(capsys, command, *argv, "--out", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_unwritable_trace_refused_before_sampling(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args):
+            raise AssertionError("a chain stepped before the trace path was checked")
+
+        monkeypatch.setattr(nedpca.montecarlo, "_advance", refuse)
+        target = tmp_path / "absent" / "trace.txt"
+        code, out, err = run_cli(
+            capsys, "simulate", "-n", "6", "-m", "3", "--p1", "0.3", "--p2", "0.5",
+            "--samples", "100", "--trace", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: No such file or directory\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "z.json"

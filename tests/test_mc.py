@@ -310,9 +310,26 @@ class TestEstimates:
         assert len(payload["histogram"]) == 64
         assert payload["pattern_means"]["n1"] == pytest.approx(summary.density_mean)
 
-    def test_density_equals_n1_rate(self):
-        summary = run(make_plan())
-        assert summary.pattern_means["n1"] == pytest.approx(summary.density_mean)
+    def test_density_equals_n1_rate(self, tmp_path):
+        path = tmp_path / "trace.txt"
+        summary = run(make_plan(trace_path=str(path)))
+        ones = path.read_text().count("1")
+        assert summary.density_mean == summary.pattern_means["n1"] == ones / (1000 * 6)
+
+    def test_batch_means_stderr_matches_an_independent_count(self, monkeypatch, tmp_path):
+        # 1000 samples make batches of 31 and 32; 7-step chunks at thin 2 put
+        # batch edges inside chunks
+        monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 7 * P635.n)
+        path = tmp_path / "trace.txt"
+        summary = run(make_plan(samples=1000, thin=2, trace_path=str(path)))
+        batch_ones, batch_sizes = [0] * 32, [0] * 32
+        for j, line in enumerate(path.read_text().splitlines()):
+            batch_ones[j * 32 // 1000] += line.count("1")
+            batch_sizes[j * 32 // 1000] += 1
+        assert sorted(set(batch_sizes)) == [31, 32]
+        means = [ones / (size * 6) for ones, size in zip(batch_ones, batch_sizes)]
+        assert summary.density_stderr == float(np.std(means, ddof=1) / math.sqrt(32))
+        assert summary.density_mean == summary.pattern_means["n1"] == sum(batch_ones) / (1000 * 6)
 
 
 class TestTrace:
