@@ -58,12 +58,13 @@ def _json_value(x):
 def _parse_prob(text: str):
     """'3/10' becomes an exact Fraction, anything else a float."""
     text = str(text).strip()
-    if "/" in text:
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:  # argparse reports this as a usage error, exit 2
-            raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
-    return float(text)
+    # argparse reports an ArgumentTypeError as a usage error naming the value, exit 2
+    try:
+        return Fraction(text) if "/" in text else float(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal or fraction: {text!r}") from None
 
 
 def _parse_bool(text: str) -> bool:

@@ -299,15 +299,17 @@ def _sums(params: ModelParams) -> tuple[Real, Real]:
     a = [p1 * (1 - p1) ** (j - 1) for j in range(1, m)]
     b = p1 * (1 - p1) ** (m - 1) / params.p2
     window: deque = deque([1], maxlen=m)  # c[L-m] .. c[L-1]
-    s = w = 0  # sums of c[t] and of (L-m-t) c[t] over t <= L-m; all terms >= 0
+    # b times the sums of c[t] and of (L-m-t) c[t] over t <= L-m; all terms >= 0.
+    # Carrying b inside keeps the sums below Z, so a float overflows only where Z does
+    s = w = 0
     for length in range(1, n + 1):
         if length >= m:
             w += s
-            s += window[0]
+            s += b * window[0]
         short = sum(a[j - 1] * window[-j] for j in range(1, min(length, m - 1) + 1))
-        window.append(short + b * s)
-    # window[-1-j] is c[n-j]; w + m*s is sum_{t<=n-m} (n-t) c[t]
-    z = 1 + sum(j * a[j - 1] * window[-1 - j] for j in range(1, m)) + b * (w + m * s)
+        window.append(short + s)
+    # window[-1-j] is c[n-j]; w + m*s is b sum_{t<=n-m} (n-t) c[t]
+    z = 1 + sum(j * a[j - 1] * window[-1 - j] for j in range(1, m)) + (w + m * s)
     occupied = window[-1]
     if not params.exact and not (math.isfinite(z) and math.isfinite(occupied)):
         raise OverflowError(f"Z at n={n}, m={m} overflows a float")

@@ -121,13 +121,10 @@ class Configuration:
     @classmethod
     def from_string(cls, s: str) -> "Configuration":
         """Parse a binary string with site 1 leftmost, e.g. "0110"."""
-        if not s or any(c not in "01" for c in s):
+        # checked first: int() would also accept "_", "+" and whitespace
+        if not s or s.strip("01"):
             raise ParamError(f"configuration string must be nonempty over 0/1, got {s!r}")
-        code = 0
-        for i, c in enumerate(s):
-            if c == "1":
-                code |= 1 << i
-        return cls(code, len(s))
+        return cls(int(s[::-1], 2), len(s))
 
     @classmethod
     def coerce(cls, value: "ConfigLike", n: int) -> "Configuration":
@@ -150,10 +147,10 @@ class Configuration:
         return (self.code >> ((site - 1) % self.n)) & 1
 
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.code >> i) & 1 for i in range(self.n))
+        return tuple(self.to_string().encode().translate(bytes.maketrans(b"01", b"\0\1")))
 
     def to_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits())
+        return format(self.code, f"0{self.n}b")[::-1]
 
     def __str__(self) -> str:
         return self.to_string()

@@ -34,7 +34,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, TextIO, Union
 
 import numpy as np
 
@@ -230,24 +230,17 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass
-class _ChainResult:
-    # one row per batch: [samples, *pattern_totals] over the batch's retained samples
-    table: list
-    histogram: Optional[np.ndarray]
-    trace: Optional[list]
-
-
 def _run_chain(
-    plan: SimulationPlan, chain_index: int, child_seed, stop: threading.Event
-) -> _ChainResult:
+    plan: SimulationPlan, trace: Optional[TextIO], child_seed, stop: threading.Event
+) -> tuple[list, Optional[np.ndarray]]:
+    """One chain's per-batch table, one row [samples, *pattern_totals] per
+    batch, and histogram; its first TRACE_CAP retained codes go to trace."""
     params = plan.params
     n = params.n
     rng = np.random.Generator(np.random.Philox(child_seed))
     rows = max(1, _CHUNK_DOUBLES // n)
     hist = np.zeros(params.n_states, dtype=np.int64) if plan.histogram_enabled else None
     table = [[0] * (params.m + 1) for _ in range(_NUM_BATCHES)]
-    trace = [] if plan.trace_path and chain_index == 0 else None
 
     total_steps = plan.burn_in + plan.samples * plan.thin
     first = plan.burn_in + plan.thin - 1  # the first retained step
@@ -261,6 +254,10 @@ def _run_chain(
         code = trajectory[-1]
         kept = trajectory[max(first - done, (first - done) % plan.thin) :: plan.thin]
         done += len(trajectory)
+        if trace is not None and retained < TRACE_CAP:
+            trace.writelines(
+                Configuration(c, n).to_string() + "\n" for c in kept[: TRACE_CAP - retained]
+            )
         i = 0
         while i < len(kept):
             # sample j falls in batch j * _NUM_BATCHES // samples; end starts the next batch
@@ -272,9 +269,7 @@ def _run_chain(
         retained += len(kept)
         if hist is not None:
             hist += np.bincount(np.asarray(kept, dtype=np.int64), minlength=params.n_states)
-        if trace is not None:
-            trace.extend(Configuration(c, n).to_string() for c in kept[: TRACE_CAP - len(trace)])
-    return _ChainResult(table, hist, trace)
+    return table, hist
 
 
 def run(plan: SimulationPlan) -> EmpiricalSummary:
@@ -285,34 +280,33 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     workers = min(plan.chains, _usable_cores()) if n >= _PARALLEL_MIN_N else 1
     stop = threading.Event()
 
-    def chain(i: int, child) -> _ChainResult:
+    def chain(i: int, child) -> tuple[list, Optional[np.ndarray]]:
         try:
-            return _run_chain(plan, i, child, stop)
+            return _run_chain(plan, trace_file if i == 0 else None, child, stop)
         except BaseException:
             stop.set()
             raise
 
-    # the trace is opened before any chain steps, so a bad path costs no sampling
-    trace_file = open(plan.trace_path, "w") if plan.trace_path else contextlib.nullcontext()
+    # the trace is opened before any chain steps, so a bad path costs no sampling;
+    # chain 0 writes to it as it samples
+    trace_file = open(plan.trace_path, "w") if plan.trace_path else None
     t0 = time.perf_counter()
     # leaving the pool joins its workers, so a failure or an interrupt must
     # stop the other chains first
-    with trace_file, ThreadPoolExecutor(max_workers=workers) as pool:
+    with trace_file or contextlib.nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             results = list(pool.map(chain, range(plan.chains), children))
         except BaseException:
             stop.set()
             raise
-        elapsed = time.perf_counter() - t0
-        if results[0].trace is not None:
-            trace_file.writelines(line + "\n" for line in results[0].trace)
+    elapsed = time.perf_counter() - t0
     total_steps = plan.chains * (plan.burn_in + plan.samples * plan.thin)
     steps_per_second = total_steps / elapsed if elapsed > 0 else float("inf")
 
     total_samples = plan.samples * plan.chains
     denom = total_samples * n
     nan = float("nan")
-    rows = [row for r in results for row in r.table]
+    rows = [row for table, _ in results for row in table]
     means = [sum(col) / denom if denom else nan for col in list(zip(*rows))[1:]]
     pattern_means = {"n1": means[0], "n10r1": tuple(means[1:-1]), "n0m1": means[-1]}
     batch_means = [ones / (size * n) for size, ones, *_ in rows if size]
@@ -320,7 +314,7 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     if len(batch_means) >= 2:
         density_stderr = float(np.std(batch_means, ddof=1) / math.sqrt(len(batch_means)))
 
-    hist = sum(r.histogram for r in results) if plan.histogram_enabled else None
+    hist = sum(h for _, h in results) if plan.histogram_enabled else None
 
     return EmpiricalSummary(
         plan=plan,

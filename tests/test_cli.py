@@ -432,6 +432,39 @@ class TestConfigAndErrors:
             "argument --p1: zero denominator in '1/0'"
         )
 
+    @pytest.mark.parametrize("command", ["exact", "partition", "simulate", "m2"])
+    @pytest.mark.parametrize("bad", ["abc", "1/3/4", ""])
+    def test_malformed_probability_exits_2(self, capsys, command, bad):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--p1", bad, "--p2", "0.5"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.splitlines()[-1].endswith(f"argument --p1: not a decimal or fraction: '{bad}'")
+        assert "_parse_prob" not in err
+
+    def test_malformed_probability_in_config_exits_2(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n = 4\nm = 2\np1 = abc\np2 = 0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--config", str(conf)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "argument --p1: not a decimal or fraction: 'abc'"
+        )
+
+    def test_config_skips_comments_and_blank_lines(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("# a comment\n\n   \nn = 4  # trailing\nm = 2\np1 = 0.3\np2 = 0.5\n")
+        code, out, _ = run_cli(capsys, "partition", "--config", str(conf))
+        assert code == 0 and json.loads(out)["n"] == 4
+
+    def test_config_line_without_equals_exits_2(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n = 4\nm 2\n")
+        code, out, err = run_cli(capsys, "partition", "--config", str(conf))
+        assert (code, out) == (2, "")
+        assert err == f"error: {conf}:2: expected 'key = value', got 'm 2'\n"
+
     @pytest.mark.parametrize("command", ["exact", "partition", "simulate", "m2", "verify"])
     def test_unwritable_out_exits_2(self, capsys, monkeypatch, tmp_path, command):
         monkeypatch.setattr(nedpca.acceptance, "run_level", lambda level: [])
@@ -508,6 +541,22 @@ class TestVerify:
         assert out.endswith("criteria passed (full)\n")
         run_cli(capsys, "verify", "--config", str(conf), "--quick")
         assert levels == ["full", "quick"]
+
+    @pytest.mark.parametrize("value", ["false", "Off", "0", "no"])
+    def test_config_false_selects_the_quick_level(self, capsys, monkeypatch, tmp_path, value):
+        levels = []
+        monkeypatch.setattr(nedpca.acceptance, "run_level", lambda level: levels.append(level) or [])
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"full = {value}\n")
+        code, out, _ = run_cli(capsys, "verify", "--config", str(conf))
+        assert (code, levels) == (0, ["quick"])
+        assert out.endswith("criteria passed (quick)\n")
+
+    def test_config_non_boolean_exits_2(self, capsys, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("full = maybe\n")
+        code, out, err = run_cli(capsys, "verify", "--config", str(conf))
+        assert (code, out, err) == (2, "", "error: not a boolean: 'maybe'\n")
 
     def test_quick_and_full_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

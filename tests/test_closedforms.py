@@ -94,6 +94,8 @@ class TestIndexPairEnumeration:
             enumerate_index_pairs(4, 2, 0)
         with pytest.raises(ParamError):
             enumerate_index_pairs(4, 2, 5)
+        with pytest.raises(ParamError, match="need m >= 2"):
+            enumerate_index_pairs(4, 1, 2)
 
 
 class TestCompositions:
@@ -109,6 +111,12 @@ class TestCompositions:
     def test_part_bound(self):
         # x1 = 3 would exceed k = 2
         assert set(enumerate_compositions(3, 2, 4)) == {(1, 1)}
+
+    def test_rejects_bad_ranges(self):
+        with pytest.raises(ParamError, match="need M >= 0"):
+            enumerate_compositions(-1, 2, 4)
+        with pytest.raises(ParamError, match="need m >= 2"):
+            enumerate_compositions(0, 2, 1)
 
 
 class TestWeightTermCensus:
@@ -263,6 +271,17 @@ class TestRenewal:
         assert math.isfinite(partition_formula(ModelParams(646, 2, 0.5, 0.05)))
         with pytest.raises(OverflowError, match=r"^Z at n=647, m=2 overflows a float$"):
             partition_formula(ModelParams(647, 2, 0.5, 0.05))
+
+    def test_overflow_falls_where_z_does(self):
+        # b = p1 (1-p1) / p2 < 1 here, so a running sum not yet multiplied by
+        # b exceeds Z and would overflow first
+        p1, p2 = 0.3, 0.5
+        params = ModelParams(2171, 2, p1, p2)
+        z = partition_formula(params)
+        assert math.isfinite(z) and math.isfinite(density_formula(params))
+        assert math.log(z) == pytest.approx(z2_log_recurrence(2171, p1, p2)[2171], abs=1e-10)
+        with pytest.raises(OverflowError, match=r"^Z at n=2172, m=2 overflows a float$"):
+            partition_formula(ModelParams(2172, 2, p1, p2))
 
 
 class TestDensityFormula:

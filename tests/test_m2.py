@@ -133,6 +133,14 @@ class TestRecurrence:
         with pytest.raises(ParamError):
             z2_recurrence(1, 0.3, 0.5)
 
+    @pytest.mark.parametrize(
+        "p1, p2, message",
+        [(0.0, 0.5, "p1 must"), (1.0, 0.5, "p1 must"), (0.3, 0.0, "p2 must"), (0.3, 1.5, "p2 must")],
+    )
+    def test_rejects_probabilities_outside_the_model(self, p1, p2, message):
+        with pytest.raises(ParamError, match=message):
+            z2_recurrence(5, p1, p2)
+
     def test_overflow_stays_inf(self):
         # p1 + p2 = 1 zeroes the Z_{n-2} coefficient, so the step after the
         # first inf would form 0 * inf
@@ -325,6 +333,8 @@ class TestGridHelper:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ParamError):
             free_energy_grid(3, 0.5, 0.2)
+        with pytest.raises(ParamError, match="need count >= 1, got 0"):
+            free_energy_grid(0)
 
     @pytest.mark.parametrize("hi", [1.0, 1.5])
     def test_rejects_hi_outside_p1_range(self, hi):

@@ -346,6 +346,51 @@ class TestTrace:
         run(make_plan(samples=300, chains=2, trace_path=str(path)))
         assert len(path.read_text().splitlines()) == 300
 
+    def test_cap_ending_inside_a_chunk_keeps_the_first_lines(self, monkeypatch, tmp_path):
+        full, capped = tmp_path / "full.txt", tmp_path / "capped.txt"
+        monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 7 * P635.n)
+        plan = make_plan(samples=300, thin=2, chains=2, trace_path=str(full))
+        before = summary_payload(plan)
+        monkeypatch.setattr(montecarlo, "TRACE_CAP", 61)  # 7-step chunks at thin 2 split it
+        after = summary_payload(dataclasses.replace(plan, trace_path=str(capped)))
+        assert capped.read_text().splitlines() == full.read_text().splitlines()[:61]
+        assert before == after
+
+    def test_failed_run_keeps_the_lines_written_so_far(self, monkeypatch, tmp_path):
+        advance, calls = montecarlo._advance, []
+
+        def fail_third_chunk(code, params, u, kernel):
+            calls.append(len(u))
+            if len(calls) == 3:
+                raise RuntimeError("third chunk failed")
+            return advance(code, params, u, kernel)
+
+        monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 10 * P635.n)
+        monkeypatch.setattr(montecarlo, "_advance", fail_third_chunk)
+        path = tmp_path / "trace.txt"
+        with pytest.raises(RuntimeError, match="third chunk failed"):
+            run(make_plan(samples=100, burn_in=0, trace_path=str(path)))
+        assert len(path.read_text().splitlines()) == 20
+
+    def test_trace_is_not_held_in_memory(self, tmp_path):
+        # chain 0 writes each chunk's lines as it samples, so tracing adds
+        # far less than the trace's own size (samples * n bytes) to the peak
+        params, samples = ModelParams(256, 3, 0.3, 0.5), 8000
+        peaks = {}
+        for label, path in [("warm-up", None), ("untraced", None), ("traced", tmp_path / "t.txt")]:
+            plan = SimulationPlan(
+                params=params, seed=4, samples=samples, burn_in=0,
+                trace_path=None if path is None else str(path),
+            )
+            tracemalloc.start()
+            try:
+                run(plan)
+                peaks[label] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "t.txt").read_text().splitlines()) == samples
+        assert peaks["traced"] - peaks["untraced"] < 0.25 * samples * params.n, peaks
+
 
 class TestTvDistance:
     def test_requires_histogram(self):
@@ -353,6 +398,11 @@ class TestTvDistance:
         table = solve_stationary(build_matrix(P635))
         with pytest.raises(DomainError):
             tv_distance(summary, table)
+
+    def test_requires_samples(self):
+        summary = run(make_plan(samples=0))
+        with pytest.raises(DomainError, match="empty summary"):
+            tv_distance(summary, solve_stationary(build_matrix(P635)))
 
     def test_requires_matching_params(self):
         summary = run(make_plan())

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from nedpca import (
     Configuration,
+    DimensionMismatch,
     ModelParams,
     ParamError,
     SiteWindow,
+    StationaryTable,
     classify_window,
     count_patterns,
     ror,
@@ -29,6 +31,20 @@ def step_sample(alpha, params, rng):
     """Reference: one synchronous update of alpha from exactly n uniforms of rng."""
     conf = Configuration.coerce(alpha, params.n)
     return Configuration(scalar_step(conf.code, params, rng.random(params.n)), params.n)
+
+
+def per_bit_to_string(code, n):
+    """Reference: the per-bit string loop, site 1 leftmost."""
+    return "".join("1" if (code >> i) & 1 else "0" for i in range(n))
+
+
+def per_bit_code(s):
+    """Reference: the per-bit parse, character i setting bit i."""
+    code = 0
+    for i, c in enumerate(s):
+        if c == "1":
+            code |= 1 << i
+    return code
 
 
 small_params = st.builds(
@@ -85,6 +101,23 @@ class TestConfiguration:
         assert conf.to_string() == "10010"
         assert conf.code == 0b01001  # site 1 is the least significant bit
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1024])
+    def test_conversions_match_the_per_bit_reference(self, n):
+        rng = random.Random(n)
+        codes = [0, 1, 1 << (n - 1), (1 << n) - 1] + [rng.getrandbits(n) for _ in range(20)]
+        for code in codes:
+            conf = Configuration(code, n)
+            s = per_bit_to_string(code, n)
+            assert conf.to_string() == str(conf) == s
+            assert conf.bits() == tuple((code >> i) & 1 for i in range(n))
+            assert Configuration.from_string(s) == conf and per_bit_code(s) == code
+
+    @pytest.mark.parametrize("text", ["", "012", "0_1", "+01", " 01", "01 ", "0 1", "1\n"])
+    def test_from_string_takes_only_zeros_and_ones(self, text):
+        # int(text, 2) alone would accept underscores, a sign and whitespace
+        with pytest.raises(ParamError, match="nonempty over 0/1"):
+            Configuration.from_string(text)
+
     def test_bit_is_one_based_and_cyclic(self):
         conf = Configuration.from_string("100")
         assert conf.bit(1) == 1
@@ -98,6 +131,10 @@ class TestConfiguration:
         assert Configuration.coerce("1010", 4) == conf
         with pytest.raises(ParamError):
             Configuration.coerce("101", 4)
+        with pytest.raises(ParamError, match="configuration has n=4, expected n=5"):
+            Configuration.coerce(conf, 5)
+        with pytest.raises(ParamError, match="ring size must be positive"):
+            Configuration(0, 0)
 
     def test_coerce_accepts_numpy_integers(self):
         params = ModelParams(4, 2, 0.3, 0.5)
@@ -191,6 +228,12 @@ class TestPatternTotals:
             assert pattern_totals([], params) == [0] * m
 
 
+def test_stationary_table_rejects_wrong_length():
+    params = ModelParams(3, 2, 0.3, 0.5)
+    with pytest.raises(DimensionMismatch, match=r"table length 7 != 2\*\*n = 8"):
+        StationaryTable(params, (0.125,) * 7)
+
+
 class TestWindows:
     def test_classification_examples(self):
         params = ModelParams(5, 3, 0.3, 0.5)
@@ -199,6 +242,14 @@ class TestWindows:
         assert classify_window(alpha, 4, params) is SiteWindow.OPEN_VACANCY
         assert classify_window(alpha, 2, params) is SiteWindow.FORCED
         assert classify_window(alpha, 3, params) is SiteWindow.FORCED
+
+    def test_rejects_out_of_range_site_and_bit(self):
+        params = ModelParams(5, 3, 0.3, 0.5)
+        for site in (0, 6):
+            with pytest.raises(ParamError, match=f"site must lie in 1..5, got {site}"):
+                classify_window(0, site, params)
+        with pytest.raises(ParamError, match="new_bit must be 0 or 1, got 2"):
+            site_update_prob(SiteWindow.OPEN_VACANCY, 2, params)
 
     @given(small_params, st.integers(0, 2**12 - 1))
     @settings(max_examples=100, deadline=None)
