@@ -19,16 +19,16 @@ library's defaults. Exit codes: 0 success, 1 failed verification,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from . import m2 as m2mod
 from .closedforms import density_formula, partition_formula, stationary_table_formula
-from .errors import BudgetExceeded, DegenerateDenominator, DomainError, NedpcaError, ParamError
+from .errors import BudgetExceeded, DegenerateDenominator, NedpcaError, ParamError
 from .model import Configuration, ModelParams
 from .montecarlo import SimulationPlan, run as run_simulation, tv_distance
 from .solver import (
@@ -113,11 +113,21 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise ParamError(f"missing required option --{name.replace('_', '-')}")
 
 
+@contextlib.contextmanager
+def _naming(path: Optional[str]):
+    """Name path in an OSError raised while writing it (a write or close gives no filename)."""
+    try:
+        yield
+    except OSError as exc:
+        exc.filename = exc.filename or path
+        raise
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w") as fh:
+        with _naming(out), open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -192,15 +202,13 @@ def cmd_partition(args: argparse.Namespace) -> int:
         return 0
 
     checks: dict = {"weight_sum_rel_gap": None, "recurrence_rel_gap": None}
-    try:
+    with contextlib.suppress(BudgetExceeded):  # past the table's cap the check stays null
         # the all-vacant configuration carries weight 1, so Z = 1/pi(0)
         z_table = 1 / stationary_table_formula(params).prob(0)
         checks["weight_sum_rel_gap"] = float(abs(z_table - z) / z)
-    except BudgetExceeded:
-        pass  # past the table's cap the check stays null
     if params.m == 2:
-        zr = m2mod.z2_recurrence(params.n, float(params.p1), float(params.p2))[params.n]
-        if math.isfinite(zr):  # past the float range the check stays null
+        with contextlib.suppress(OverflowError):  # past the float range the check stays null
+            zr = m2mod.z2_recurrence(params.n, float(params.p1), float(params.p2))[params.n]
             checks["recurrence_rel_gap"] = abs(zr - float(z)) / float(z)
     payload = {
         "n": params.n,
@@ -232,7 +240,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ParamError("summary carries no histogram; rerun with histogram=True")
         if plan.samples == 0:
             raise ParamError("empty summary has no empirical distribution")
-    summary = run_simulation(plan)
+    with _naming(plan.trace_path):
+        summary = run_simulation(plan)
     payload = summary.to_json_dict()
     if args.tv:
         payload["tv_distance"] = tv_distance(summary, table)
@@ -261,9 +270,6 @@ def cmd_m2(args: argparse.Namespace) -> int:
 
     if args.series is not None:
         zs = m2mod.z2_recurrence(args.series, p1, p2)
-        bad = [n for n, z in enumerate(zs) if not math.isfinite(z)]
-        if bad:
-            raise DomainError(f"Z_{bad[0]} overflows a float at p1={p1!r}, p2={p2!r}")
         text = "n,Z\n" + "\n".join(f"{n},{z!r}" for n, z in enumerate(zs))
         _emit(text, args.out)
         return 0

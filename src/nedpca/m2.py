@@ -77,7 +77,8 @@ def z2_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     """Z_{0,2} .. Z_{n_max,2} by the three-term recurrence.
 
     Seeds are Z_0 = 2, Z_1 = 1 + p1 and Z_2 (see _z2_seed), because the
-    recurrence itself only holds from n = 2 on.
+    recurrence itself only holds from n = 2 on. Raises OverflowError naming
+    the first Z_k that leaves the float range (z2_log_recurrence does not).
     """
     p1, p2 = _validate(p1, p2, n_max)
     a, b = p1 * (1.0 - p1 - p2), p2 * (1.0 + p1)  # * runs left to right: same products
@@ -85,9 +86,9 @@ def z2_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     for _ in range(n_max - 2):
         prev, cur = cur, (a * prev + b * cur) / p2
         z.append(cur)
-    if not math.isfinite(cur):  # past an overflow, 0 * inf or inf - inf gives NaN
-        first = z.index(math.inf)
-        z[first:] = [math.inf] * (len(z) - first)
+    if not math.isfinite(cur):  # once a term is inf, every later one is inf or NaN
+        k = next(k for k, x in enumerate(z) if not math.isfinite(x))
+        raise OverflowError(f"Z_{k} overflows a float at p1={p1!r}, p2={p2!r}")
     return tuple(z)
 
 

@@ -12,11 +12,9 @@ and no function call; _advance is the one routine that steps either kernel.
 Per-chain streams come from numpy's SeedSequence.spawn, so chains never share
 a stream. Each chain draws its uniforms in chunks of at most _CHUNK_DOUBLES
 doubles (1 MiB), whatever the ring size; Philox hands out its doubles in
-order whatever the chunk shape, so chunking cannot change a draw. Rings
-of at least one 64-bit word run one worker thread per chain, up to the
-usable cores: there the Philox fill and np.packbits, which release the GIL,
-take a large enough share of a step that a second worker measured faster.
-Each chain keeps one integer table with a row per batch of retained samples,
+order whatever the chunk shape, so chunking cannot change a draw. Chains
+run one worker thread each, up to the usable cores; the Philox fill and
+np.packbits release the GIL. Each chain keeps one integer table with a row per batch of retained samples,
 [samples, n1, *n10r1, n0m1], filled by one pattern_totals call per batch
 segment of a chunk; the density mean, its batch-means stderr and the pattern
 means are all read off the chains' rows. All accumulators are integers until
@@ -65,12 +63,6 @@ HISTOGRAM_CAP = 1 << 20  # hard ceiling even when explicitly requested
 TRACE_CAP = 100_000  # max trace lines written per run
 _NUM_BATCHES = 32  # batches per chain for the batch-means error bar
 _CHUNK_DOUBLES = 1 << 17  # uniforms per draw (1 MiB): a chunk is max(1, this // n) steps
-# Smallest ring that runs one worker per chain: one full 64-bit word.
-# Steps/s of two chains on 2 workers against 1 (2 vCPUs, Python 3.11.7,
-# m = 3, 1000 burn-in, 2^21 / n samples, median of 7 alternating runs, two
-# sessions): n = 12 1.03x, 32 1.13-1.33x (some runs below 1x), 48 1.23x,
-# 64 1.24-1.42x, 96 1.31x, 128 1.47x, 256 1.66x, 512 1.84x, 1024 1.80x.
-_PARALLEL_MIN_N = 64
 
 _KERNELS = ("bitparallel", "scalar")
 
@@ -86,9 +78,8 @@ class SimulationPlan:
     automatically for state spaces up to HISTOGRAM_AUTO_LIMIT.
 
     The plan fixes the summary, not how it is computed: run() draws each
-    chain's uniforms in chunks of _CHUNK_DOUBLES doubles and runs chains on
-    one worker per chain (up to the usable cores) when n >= _PARALLEL_MIN_N,
-    where the GIL-free draws dominate a step, and on one worker otherwise.
+    chain's uniforms in chunks of _CHUNK_DOUBLES doubles and runs each chain
+    on its own worker, up to the usable cores.
     """
 
     params: ModelParams
@@ -269,6 +260,7 @@ def _run_chain(
         retained += len(kept)
         if hist is not None:
             hist += np.bincount(np.asarray(kept, dtype=np.int64), minlength=params.n_states)
+        del u, trajectory, kept  # free this chunk before the next one is drawn
     return table, hist
 
 
@@ -277,7 +269,7 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     params = plan.params
     n = params.n
     children = np.random.SeedSequence(plan.seed).spawn(plan.chains)
-    workers = min(plan.chains, _usable_cores()) if n >= _PARALLEL_MIN_N else 1
+    workers = min(plan.chains, _usable_cores())
     stop = threading.Event()
 
     def chain(i: int, child) -> tuple[list, Optional[np.ndarray]]:

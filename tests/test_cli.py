@@ -120,7 +120,9 @@ class TestPartition:
         payload = json.loads(out)
         assert payload["checks"]["recurrence_rel_gap"] < 1e-10
 
-    @pytest.mark.parametrize("n, reported", [(1500, True), (3000, False)])
+    @pytest.mark.parametrize(
+        "n, reported", [(1500, True), (2057, True), (2058, False), (3000, False)]
+    )
     def test_exact_z_outlives_the_float_recurrence(self, capsys, n, reported):
         # from n = 2058 on the float recurrence is inf while exact Z runs on
         code, out, _ = run_cli(
@@ -492,6 +494,23 @@ class TestConfigAndErrors:
         )
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "-n", "6", "-m", "3", "--p1", "0.3", "--p2", "0.5",
+             "--samples", "5000", "--trace", "/dev/full"),
+            ("partition", "-n", "6", "-m", "3", "--p1", "0.3", "--p2", "0.5",
+             "--out", "/dev/full"),
+        ],
+        ids=["trace", "out"],
+    )
+    def test_failed_write_names_the_path(self, capsys, argv):
+        # the error comes from a write or a close, not from open, so it has no filename
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write /dev/full: No space left on device\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "z.json"

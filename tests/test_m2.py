@@ -63,13 +63,16 @@ def density_series_reference(n_max, p1, p2):
 
 
 def z2_recurrence_reference(n_max, p1, p2):
-    """The three-term recurrence read off the list's last two entries."""
-    z = [2.0, 1.0 + p1, 1.0 + p1 * p1 + 2.0 * p1 * (1.0 - p1) / p2]
-    for _ in range(n_max - 2):
-        z.append((p1 * (1.0 - p1 - p2) * z[-2] + p2 * (1.0 + p1) * z[-1]) / p2)
-    if not math.isfinite(z[-1]):
-        first = z.index(math.inf)
-        z[first:] = [math.inf] * (len(z) - first)
+    """The three-term recurrence read off the list's last two entries, each
+    term checked as it is made."""
+    z = [2.0, 1.0 + p1]
+    for k in range(2, n_max + 1):
+        if k == 2:
+            z.append(1.0 + p1 * p1 + 2.0 * p1 * (1.0 - p1) / p2)
+        else:
+            z.append((p1 * (1.0 - p1 - p2) * z[-2] + p2 * (1.0 + p1) * z[-1]) / p2)
+        if not math.isfinite(z[k]):
+            raise OverflowError(f"Z_{k} overflows a float at p1={p1!r}, p2={p2!r}")
     return tuple(z)
 
 
@@ -103,14 +106,14 @@ class TestBitIdentity:
         for p1, p2 in BIT_POINTS:
             assert _outcome(fast, n_max, p1, p2) == _outcome(reference, n_max, p1, p2), (p1, p2)
 
-    def test_points_reach_overflow_and_inf_tails(self):
-        # the comparison above covers the raise and the inf tail, not only finite runs
+    def test_points_reach_overflow(self):
+        # the comparison above covers the raise, not only finite runs
         raised = {
             fast.__name__: sum(_outcome(fast, 3000, *p)[0] == "OverflowError" for p in BIT_POINTS)
-            for fast, _ in BIT_ROUTES[:2]
+            for fast, _ in BIT_ROUTES
         }
-        tails = sum(z2_recurrence(3000, *p)[-1] == math.inf for p in BIT_POINTS)
-        assert min(raised.values()) >= 10 and tails >= 10, (raised, tails)
+        assert min(raised.values()) >= 10, raised
+        assert _outcome(z2_recurrence, 2, 0.5, 5e-324)[1].startswith("Z_2 overflows")
 
 
 class TestRecurrence:
@@ -141,13 +144,12 @@ class TestRecurrence:
         with pytest.raises(ParamError, match=message):
             z2_recurrence(5, p1, p2)
 
-    def test_overflow_stays_inf(self):
+    def test_overflow_raises_at_the_first_inf(self):
         # p1 + p2 = 1 zeroes the Z_{n-2} coefficient, so the step after the
-        # first inf would form 0 * inf
-        z = z2_recurrence(3000, 0.5, 0.5)
-        assert not any(math.isnan(x) for x in z)
-        assert z.index(math.inf) == 1751
-        assert all(x == math.inf for x in z[1751:])
+        # first inf forms 0 * inf = NaN; the message still names the inf
+        assert z2_recurrence(1750, 0.5, 0.5)[-1] == pytest.approx(1.5**1750, rel=1e-9)
+        with pytest.raises(OverflowError, match=r"^Z_1751 overflows a float at p1=0\.5, p2=0\.5$"):
+            z2_recurrence(3000, 0.5, 0.5)
 
     @pytest.mark.parametrize("p1", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_balanced_line_is_binomial(self, p1):

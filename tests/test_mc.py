@@ -173,8 +173,8 @@ class TestRunDeterminism:
                 super().__init__(max_workers)
 
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-        a = summary_payload(make_plan(chains=3))  # n = 6 is below the parallel cut
-        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_N", 6)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
+        a = summary_payload(make_plan(chains=3))
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
@@ -184,6 +184,14 @@ class TestRunDeterminism:
             sys.setswitchinterval(interval)
         assert pools == [1, 3]
         assert a == b
+
+    def test_usable_cores_without_affinity(self, monkeypatch):
+        # platforms without sched_getaffinity fall back on the CPU count, or 1
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 5)
+        assert montecarlo._usable_cores() == 5
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert montecarlo._usable_cores() == 1
 
     @pytest.mark.parametrize("kernel", ["bitparallel", "scalar"])
     @pytest.mark.parametrize("histogram", [True, False])
@@ -213,7 +221,6 @@ class TestStopFlag:
             np.random.Philox(np.random.SeedSequence(plan.seed).spawn(2)[1])
         ).random()
         monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 10 * plan.params.n)
-        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_N", 6)
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
         advance = montecarlo._advance
         failed = threading.Event()
