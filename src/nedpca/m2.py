@@ -88,6 +88,7 @@ def z2_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
         z.append(cur)
     if not math.isfinite(cur):  # once a term is inf, every later one is inf or NaN
         k = next(k for k, x in enumerate(z) if not math.isfinite(x))
+        del z  # a caught error keeps this frame alive; the terms need not stay too
         raise OverflowError(f"Z_{k} overflows a float at p1={p1!r}, p2={p2!r}")
     return tuple(z)
 

@@ -11,16 +11,16 @@ and no function call; _advance is the one routine that steps either kernel.
 
 Per-chain streams come from numpy's SeedSequence.spawn, so chains never share
 a stream. Each chain draws its uniforms in chunks of at most _CHUNK_DOUBLES
-doubles (1 MiB), whatever the ring size; Philox hands out its doubles in
-order whatever the chunk shape, so chunking cannot change a draw. Chains
-run one worker thread each, up to the usable cores; the Philox fill and
-np.packbits release the GIL. Each chain keeps one integer table with a row per batch of retained samples,
-[samples, n1, *n10r1, n0m1], filled by one pattern_totals call per batch
-segment of a chunk; the density mean, its batch-means stderr and the pattern
-means are all read off the chains' rows. All accumulators are integers until
-the final division, so a fixed plan gives the same summary whatever the
-kernel, worker count and chunking. The one field outside that guarantee is
-steps_per_second.
+doubles (1 MiB), whatever the ring size, and frees each chunk before drawing
+the next; Philox hands out its doubles in order whatever the chunk shape, so
+chunking cannot change a draw. Each chain runs on its own worker thread, up to
+the usable cores; the Philox fill and np.packbits release the GIL. Each chain
+keeps one integer table with a row per batch of retained samples, [samples,
+n1, *n10r1, n0m1], filled by one pattern_totals call per batch segment of a
+chunk; the density mean, its batch-means stderr and the pattern means are all
+read off the chains' rows. All accumulators are integers until the final
+division, so a fixed plan gives the same summary whatever the kernel, worker
+count and chunking. The one field outside that guarantee is steps_per_second.
 """
 
 from __future__ import annotations
@@ -77,9 +77,8 @@ class SimulationPlan:
     shorthands "zeros" / "ones". histogram=None enables state counting
     automatically for state spaces up to HISTOGRAM_AUTO_LIMIT.
 
-    The plan fixes the summary, not how it is computed: run() draws each
-    chain's uniforms in chunks of _CHUNK_DOUBLES doubles and runs each chain
-    on its own worker, up to the usable cores.
+    The plan fixes the summary, not how it is computed: run() picks the chunk
+    size and runs one worker per chain, up to the usable cores.
     """
 
     params: ModelParams

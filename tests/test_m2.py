@@ -2,6 +2,7 @@
 
 import math
 import random
+import traceback
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -150,6 +151,14 @@ class TestRecurrence:
         assert z2_recurrence(1750, 0.5, 0.5)[-1] == pytest.approx(1.5**1750, rel=1e-9)
         with pytest.raises(OverflowError, match=r"^Z_1751 overflows a float at p1=0\.5, p2=0\.5$"):
             z2_recurrence(3000, 0.5, 0.5)
+
+    def test_caught_overflow_keeps_no_terms(self):
+        # a caller that keeps the error keeps the raising frame, not its 3001 terms
+        with pytest.raises(OverflowError) as info:
+            z2_recurrence(3000, 0.5, 0.05)
+        frames = [frame for frame, _ in traceback.walk_tb(info.value.__traceback__)]
+        assert frames[-1].f_code is z2_recurrence.__code__
+        assert "z" not in frames[-1].f_locals
 
     @pytest.mark.parametrize("p1", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_balanced_line_is_binomial(self, p1):
