@@ -86,8 +86,8 @@ def z2_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
     for _ in range(n_max - 2):
         prev, cur = cur, (a * prev + b * cur) / p2
         z.append(cur)
-    if not math.isfinite(cur):  # once a term is inf, every later one is inf or NaN
-        k = next(k for k, x in enumerate(z) if not math.isfinite(x))
+    if not math.isfinite(cur):  # the first overflow is +inf; later terms are inf or NaN
+        k = z.index(math.inf)
         del z  # a caught error keeps this frame alive; the terms need not stay too
         raise OverflowError(f"Z_{k} overflows a float at p1={p1!r}, p2={p2!r}")
     return tuple(z)
