@@ -4,7 +4,7 @@ Each criterion returns a CheckResult with a one-line verdict; run_level
 executes all ten. The "quick" level shrinks the heavy parameter sweeps
 (criteria 1, 3, 4, 9, 10) but runs the analytic criteria in full; "full"
 runs everything at production size, including the exact-solver sweep up to
-n = 10 (about 10 s on 2 vCPUs of a shared Xeon host).
+n = 10 (5-6 s on 2 vCPUs of a shared Xeon host).
 
 Two criteria pin facts that are easy to state wrongly:
 

@@ -252,11 +252,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---- m2 ----
 
 
+def _refuse(args: argparse.Namespace, report: str, *names: str) -> None:
+    """Reject options, set by flag or config, that the chosen report would ignore."""
+    ignored = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None]
+    if ignored:
+        raise ParamError(f"{report} ignores {', '.join(ignored)}")
+
+
 def cmd_m2(args: argparse.Namespace) -> int:
     if args.grid is not None and args.series is not None:
         raise ParamError("--grid and --series are mutually exclusive")
 
     if args.grid is not None:
+        _refuse(args, "--grid", "p1", "p2")
         bounds = {k: v for k, v in (("lo", args.p_lo), ("hi", args.p_hi)) if v is not None}
         rows = m2mod.free_energy_grid(args.grid, **bounds)
         text = "p1,p2,F\n" + "\n".join(
@@ -265,6 +273,7 @@ def cmd_m2(args: argparse.Namespace) -> int:
         _emit(text, args.out)
         return 0
 
+    _refuse(args, "--series" if args.series is not None else "the point report", "p_lo", "p_hi")
     _require(args, "p1", "p2")
     p1, p2 = float(args.p1), float(args.p2)
 

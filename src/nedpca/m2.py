@@ -78,18 +78,19 @@ def z2_recurrence(n_max: int, p1: float, p2: float) -> tuple[float, ...]:
 
     Seeds are Z_0 = 2, Z_1 = 1 + p1 and Z_2 (see _z2_seed), because the
     recurrence itself only holds from n = 2 on. Raises OverflowError naming
-    the first Z_k that leaves the float range (z2_log_recurrence does not).
+    the first Z_k that leaves the float range (z2_log_recurrence does not),
+    as soon as that term is made.
     """
     p1, p2 = _validate(p1, p2, n_max)
     a, b = p1 * (1.0 - p1 - p2), p2 * (1.0 + p1)  # * runs left to right: same products
-    z = [2.0, prev := 1.0 + p1, cur := _z2_seed(p1, p2)]
-    for _ in range(n_max - 2):
-        prev, cur = cur, (a * prev + b * cur) / p2
+    z = [2.0, prev := 1.0 + p1]
+    cur = _z2_seed(p1, p2)  # inf once p2 is tiny
+    for k in range(2, n_max + 1):
+        if not math.isfinite(cur):
+            del z  # a caught error keeps this frame alive; the terms need not stay too
+            raise OverflowError(f"Z_{k} overflows a float at p1={p1!r}, p2={p2!r}")
         z.append(cur)
-    if not math.isfinite(cur):  # the first overflow is +inf; later terms are inf or NaN
-        k = z.index(math.inf)
-        del z  # a caught error keeps this frame alive; the terms need not stay too
-        raise OverflowError(f"Z_{k} overflows a float at p1={p1!r}, p2={p2!r}")
+        prev, cur = cur, (a * prev + b * cur) / p2  # the last pass makes Z_{n_max+1}, unused
     return tuple(z)
 
 

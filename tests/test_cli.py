@@ -321,6 +321,30 @@ class TestM2:
         assert code == 2
         assert "mutually exclusive" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--p1", "0.3", "--p2", "0.5", "--p-lo", "0.5", "--p-hi", "0.2"],
+             "the point report ignores --p-lo, --p-hi"),
+            (["--grid", "2", "--p1", "0.9", "--p2", "0.1"], "--grid ignores --p1, --p2"),
+            (["--series", "3", "--p1", "0.3", "--p2", "0.5", "--p-lo", "0.9"],
+             "--series ignores --p-lo"),
+        ],
+        ids=["point", "grid", "series"],
+    )
+    def test_refuses_flags_the_report_ignores(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "m2", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_refuses_config_keys_the_report_ignores(self, capsys, tmp_path):
+        # config values become the parser's defaults, so they meet the same check
+        conf = tmp_path / "run.conf"
+        conf.write_text("p1 = 0.3\np2 = 0.5\n")
+        code, out, err = run_cli(capsys, "m2", "--config", str(conf), "--grid", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: --grid ignores --p1, --p2\n"
+
 
 class TestConfigAndErrors:
     def test_config_file(self, capsys, tmp_path):

@@ -3,6 +3,7 @@
 import math
 import random
 import traceback
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -159,6 +160,17 @@ class TestRecurrence:
         frames = [frame for frame, _ in traceback.walk_tb(info.value.__traceback__)]
         assert frames[-1].f_code is z2_recurrence.__code__
         assert "z" not in frames[-1].f_locals
+
+    def test_overflow_stops_the_recurrence(self):
+        # Z_647 overflows: the 10**6 terms asked for are never all made
+        tracemalloc.start()
+        try:
+            with pytest.raises(OverflowError, match=r"^Z_647 overflows"):
+                z2_recurrence(10**6, 0.5, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("p1", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_balanced_line_is_binomial(self, p1):

@@ -62,6 +62,24 @@ def test_no_unused_imports(path):
     assert unused == [], f"{path.name}: unused imports {unused}"
 
 
+SURFACE_MODULES = ["errors", "model", "solver", "closedforms", "m2", "montecarlo"]
+
+
+def test_package_republishes_each_module_all():
+    # a module's __all__ alone decides what is public; the package adds nothing
+    modules = [importlib.import_module(f"nedpca.{name}") for name in SURFACE_MODULES]
+    assert nedpca.__all__ == ["__version__"] + [e for m in modules for e in m.__all__]
+
+
+def test_module_exports_are_disjoint():
+    # a later wildcard re-export would silently shadow an earlier module's name
+    owners = {}
+    for name in SURFACE_MODULES:
+        for export in importlib.import_module(f"nedpca.{name}").__all__:
+            owners.setdefault(export, []).append(name)
+    assert {e: o for e, o in owners.items() if len(o) > 1} == {}
+
+
 def _package_imports(name: str) -> set:
     """The sibling modules that src/nedpca/<name> imports; the package
     imports its own modules relatively."""
