@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import m2 as m2mod
-from .closedforms import density_formula, partition_formula, stationary_table_formula
+from .closedforms import _sums, stationary_table_formula
 from .errors import BudgetExceeded, DegenerateDenominator, NedpcaError, ParamError
 from .model import Configuration, ModelParams
 from .montecarlo import SimulationPlan, run as run_simulation, tv_distance
@@ -43,16 +43,14 @@ from .solver import (
 REVERSIBLE_TOL = 1e-12
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(float(x))
-
-
 def _json_value(x):
     if isinstance(x, Fraction):
         return str(x)
     return float(x)
+
+
+def _fmt(x) -> str:
+    return str(_json_value(x))  # str of a float is its repr
 
 
 def _parse_prob(text: str):
@@ -156,7 +154,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
                 f"{conf.to_string()},{_fmt(formula.prob(conf))},{_fmt(solved.prob(conf))}"
             )
     else:
-        z_formula = partition_formula(params)
+        z_formula, occupied = _sums(params)
         z_solver = 1 / solved.prob(0)  # the empty ring carries unit weight
         sup_gap = max(
             abs(float(a) - float(b)) for a, b in zip(formula.probs, solved.probs)
@@ -170,7 +168,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
             f"irreducible and aperiodic: {check_irreducible_aperiodic(matrix)}",
             f"Z (closed form): {_fmt(z_formula)}",
             f"Z (solver, 1/pi(all-vacant)): {_fmt(z_solver)}",
-            f"density (closed form): {_fmt(density_formula(params))}",
+            f"density (closed form): {_fmt(occupied / z_formula)}",
             f"density (solver): {_fmt(sum(solved.probs[1::2]))}",
             f"sup gap formula vs solver: {sup_gap:.3e}",
             f"master-equation residual (formula table): {float(balance_residual(formula, matrix)):.3e}",
@@ -191,8 +189,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     params = _model_params(args)
-    z = partition_formula(params)
-    rho = density_formula(params)
+    z, occupied = _sums(params)
+    rho = occupied / z
 
     if args.csv:
         text = "n,m,p1,p2,Z,density\n" + ",".join(
@@ -278,6 +276,9 @@ def cmd_m2(args: argparse.Namespace) -> int:
     p1, p2 = float(args.p1), float(args.p2)
 
     if args.series is not None:
+        # every term is kept, and at small p1 none overflows before n ~ 1e11
+        if args.series > m2mod.SERIES_CAP:
+            raise BudgetExceeded(f"--series {args.series} exceeds the cap {m2mod.SERIES_CAP}")
         zs = m2mod.z2_recurrence(args.series, p1, p2)
         text = "n,Z\n" + "\n".join(f"{n},{z!r}" for n, z in enumerate(zs))
         _emit(text, args.out)

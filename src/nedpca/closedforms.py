@@ -234,16 +234,6 @@ class WeightTerm:
         return len(self.x) + 2
 
 
-def _binom(a: int, b: int) -> int:
-    # conventions: binom(-1,-1) = 1; binom(a,-1) = 0 for a >= 0;
-    # binom(a,b) = 0 for b > a >= 0 or negative a otherwise
-    if b < 0:
-        return 1 if (a == -1 and b == -1) else 0
-    if a < 0 or b > a:
-        return 0
-    return math.comb(a, b)
-
-
 def _multinomial(k: int, parts: tuple[int, ...]) -> int:
     # parts must be nonnegative and sum to k (checked by the caller)
     out = 1
@@ -264,11 +254,11 @@ def weight_terms(params: ModelParams) -> Iterator[WeightTerm]:
                 last = k - big_n - sum(x)
                 if last < 0:
                     continue  # impossible selection; the multinomial is 0
-                occ = _multinomial(k, x + (big_n, last)) * _binom(
-                    n - k - big_m - (m - 2) * big_n - 1, big_n - 1
+                # N = 0 exactly when M = n-k, where binom(-1, -1) = 1; otherwise
+                # (m-1)N <= n-k-M puts the binomial's top at or above N-1 >= 0
+                occ = _multinomial(k, x + (big_n, last)) * (
+                    math.comb(n - k - big_m - (m - 2) * big_n - 1, big_n - 1) if big_n else 1
                 )
-                if occ == 0:
-                    continue
                 total = n * occ
                 # the class count (n/k) * multinomial * binom is always integral
                 if total % k != 0:

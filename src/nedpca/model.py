@@ -36,7 +36,6 @@ __all__ = [
     "ModelParams",
     "Configuration",
     "ConfigLike",
-    "PatternCounts",
     "SiteWindow",
     "StationaryTable",
     "count_patterns",
@@ -182,21 +181,11 @@ class StationaryTable:
 # ---- Pattern statistics ----
 
 
-@dataclass(frozen=True)
-class PatternCounts:
-    """Cyclic occurrence counts of the patterns the paper writes the weight over.
+def pattern_totals(codes: Sequence[int], params: ModelParams) -> list[int]:
+    """[n1, *n10r1, n0m1] summed over integer codes.
 
     n1 counts 1s. n10r1[r-1] counts occurrences of 1 0^r 1 for r = 1..m-2.
     n0m1 counts occurrences of 0^{m-1} 1. All windows wrap around the ring.
-    """
-
-    n1: int
-    n10r1: tuple[int, ...]
-    n0m1: int
-
-
-def pattern_totals(codes: Sequence[int], params: ModelParams) -> list[int]:
-    """[n1, *n10r1, n0m1] summed over integer codes, as count_patterns defines them.
 
     Each code is written twice over (c | c << n) into its own byte-aligned
     field of one integer, so every cyclic window that starts at one of the n
@@ -220,18 +209,9 @@ def pattern_totals(codes: Sequence[int], params: ModelParams) -> list[int]:
     return totals
 
 
-def count_patterns(beta: ConfigLike, params: ModelParams) -> PatternCounts:
-    """Count the cyclic patterns 1, 1 0^r 1, and 0^{m-1} 1 in a configuration.
-
-    Args:
-        beta: configuration (object, integer code, or binary string).
-        params: model parameters fixing n and m.
-
-    Returns:
-        PatternCounts with all windows evaluated cyclically.
-    """
-    n1, *n10r1, n0m1 = pattern_totals([Configuration.coerce(beta, params.n).code], params)
-    return PatternCounts(n1, tuple(n10r1), n0m1)
+def count_patterns(beta: ConfigLike, params: ModelParams) -> list[int]:
+    """[n1, *n10r1, n0m1] of one configuration (object, integer code, or binary string)."""
+    return pattern_totals([Configuration.coerce(beta, params.n).code], params)
 
 
 # ---- Window classification and site law ----

@@ -146,10 +146,6 @@ class EmpiricalSummary:
     histogram: Optional[tuple]
     steps_per_second: float
 
-    @property
-    def is_empty(self) -> bool:
-        return self.total_samples == 0
-
     def to_json_dict(self) -> dict:
         p = self.plan.params
 
@@ -322,7 +318,7 @@ def tv_distance(summary: EmpiricalSummary, table: StationaryTable) -> float:
     """Total variation distance between the empirical histogram and a stationary table."""
     if summary.histogram is None:
         raise DomainError("summary carries no histogram; rerun with histogram=True")
-    if summary.is_empty:
+    if summary.total_samples == 0:
         raise DomainError("empty summary has no empirical distribution")
     if len(summary.histogram) != len(table.probs):
         raise DimensionMismatch(

@@ -62,10 +62,6 @@ class TransitionMatrix:
     def exact(self) -> bool:
         return self.params.exact
 
-    @property
-    def n_states(self) -> int:
-        return self.params.n_states
-
 
 @dataclass(frozen=True)
 class BalanceAudit:
@@ -154,13 +150,13 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
             cannot happen for validated parameters) or floats overflow.
     """
     p, n = matrix.entries, matrix.params.n
-    codes = np.arange(matrix.n_states, dtype=np.int64)
+    codes = np.arange(matrix.params.n_states, dtype=np.int64)
     canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
     reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
     k = len(reps)
     zero, one = (Fraction(0), Fraction(1)) if p.dtype == object else (0.0, 1.0)
     aug = np.full((k, k + 1), zero, dtype=p.dtype)  # [Q^T - I | e_k]
-    flat, rows = aug.reshape(-1), max(1, _BLOCK // matrix.n_states)
+    flat, rows = aug.reshape(-1), max(1, _BLOCK // matrix.params.n_states)
     for start in range(0, k, rows):
         block = np.arange(start, min(start + rows, k))  # Q[A, B] lands at B * (k + 1) + A
         np.add.at(flat, (orbit * (k + 1) + block[:, None]).ravel(), p[reps[block]].ravel())
@@ -208,7 +204,7 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     repeats an earlier (b, a), and the first maximum in row-major order wins.
     """
     _check_consistent(table, matrix)
-    n, ns = matrix.params.n, matrix.n_states
+    n, ns = matrix.params.n, matrix.params.n_states
     p = np.asarray(matrix.entries, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
     rows = max(1, _BLOCK // ns)
@@ -231,7 +227,7 @@ def transition_edges(matrix: TransitionMatrix) -> list[tuple[str, str, float]]:
     """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings."""
     n = matrix.params.n
     p = np.asarray(matrix.entries, dtype=float)
-    names = [Configuration(code, n).to_string() for code in range(matrix.n_states)]
+    names = [Configuration(code, n).to_string() for code in range(matrix.params.n_states)]
     src, dst = np.nonzero(p > 0)
     return [(names[a], names[b], float(p[a, b])) for a, b in zip(src.tolist(), dst.tolist())]
 

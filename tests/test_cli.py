@@ -11,6 +11,8 @@ import pytest
 
 import nedpca.acceptance
 import nedpca.cli
+import nedpca.closedforms
+import nedpca.m2
 import nedpca.montecarlo
 import nedpca.solver
 from nedpca import ModelParams, SimulationPlan, build_matrix, free_energy_grid, run
@@ -90,6 +92,27 @@ class TestExact:
         )
         assert code == 0 and "alpha,beta,prob" in out
         assert params == [ModelParams(4, 2, 0.3, 0.5)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("exact", "-n", "4", "-m", "2", "--p1", "0.3", "--p2", "0.5"),
+    ("exact", "-n", "4", "-m", "3", "--p1", "1/3", "--p2", "1/2"),
+    ("partition", "-n", "30", "-m", "3", "--p1", "0.3", "--p2", "0.5"),
+    ("partition", "-n", "30", "-m", "3", "--p1", "0.3", "--p2", "0.5", "--csv"),
+])
+def test_reports_run_the_renewal_once(argv, capsys, monkeypatch):
+    sums = nedpca.closedforms._sums
+    calls = []
+
+    def counted(params):
+        calls.append(params)
+        return sums(params)
+
+    monkeypatch.setattr(nedpca.closedforms, "_sums", counted)
+    monkeypatch.setattr(nedpca.cli, "_sums", counted, raising=False)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 class TestPartition:
@@ -313,6 +336,18 @@ class TestM2:
         assert code == 2
         assert out == ""
         assert "Z_647" in err
+
+    def test_series_above_the_cap_exits_3(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no term may be made past the cap")
+
+        monkeypatch.setattr(nedpca.m2, "z2_recurrence", refuse)
+        code, out, err = run_cli(
+            capsys, "m2", "--p1", "1e-9", "--p2", "0.5", "--series", "10001"
+        )
+        assert code == 3
+        assert out == ""
+        assert "--series 10001 exceeds the cap 10000" in err
 
     def test_grid_and_series_conflict(self, capsys):
         code, _, err = run_cli(

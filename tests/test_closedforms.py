@@ -89,6 +89,19 @@ class TestIndexPairEnumeration:
             for M, N in enumerate_index_pairs(8, 3, k):
                 assert (N == 0) == (M == 8 - k)
 
+    def test_binomial_arguments_stay_in_range(self):
+        # weight_terms calls math.comb(a, b) for N >= 1 and takes 1 for N = 0,
+        # which is binom(-1, -1); it needs a >= b >= 0 wherever N >= 1
+        for n in range(2, 31):
+            for m in range(2, min(n, 8) + 1):
+                for k in range(1, n + 1):
+                    for M, N in enumerate_index_pairs(n, m, k):
+                        a, b = n - k - M - (m - 2) * N - 1, N - 1
+                        if N == 0:
+                            assert (a, b) == (-1, -1)
+                        else:
+                            assert a >= b >= 0, (n, m, k, M, N)
+
     def test_rejects_bad_ranges(self):
         with pytest.raises(ParamError):
             enumerate_index_pairs(4, 2, 0)

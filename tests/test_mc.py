@@ -300,7 +300,7 @@ class TestEstimates:
 
     def test_empty_run(self):
         summary = run(make_plan(samples=0, burn_in=50))
-        assert summary.is_empty
+        assert summary.total_samples == 0
         assert math.isnan(summary.density_mean)
         payload = summary.to_json_dict()
         assert payload["density_mean"] is None

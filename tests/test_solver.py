@@ -105,7 +105,7 @@ def add_at_table(matrix):
     """Reference solve: Q^T from one 2-D np.add.at over the representatives'
     rows, then the solver's own elimination."""
     p, n = matrix.entries, matrix.params.n
-    codes = np.arange(matrix.n_states, dtype=np.int64)
+    codes = np.arange(matrix.params.n_states, dtype=np.int64)
     canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
     reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
     k = len(reps)
@@ -207,9 +207,9 @@ class TestBuildAndSolve:
 def dense_lu_table(matrix):
     """Reference stationary vector: LU on the full 2**n system (P^T - I) pi = 0
     with its last equation replaced by sum(pi) = 1, no lumping."""
-    a = matrix.entries.T - np.eye(matrix.n_states)
+    a = matrix.entries.T - np.eye(matrix.params.n_states)
     a[-1, :] = 1.0
-    b = np.zeros(matrix.n_states)
+    b = np.zeros(matrix.params.n_states)
     b[-1] = 1.0
     return np.linalg.solve(a, b)
 
