@@ -339,7 +339,7 @@ def criterion_10(reduced: bool = False) -> CheckResult:
     for n in (8, 16, 64):
         params = ModelParams(n, 3, 0.3, 0.5)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(MC_SEED)))
-        u = rng.random((steps, n))  # Philox yields the same doubles in any chunk shape
+        u = rng.random((steps, n))
         traj_s, traj_b = (_advance(0, params, u, k) for k in ("scalar", "bitparallel"))
         diffs = [t for t, (a, b) in enumerate(zip(traj_s, traj_b)) if a != b]
         if diffs:

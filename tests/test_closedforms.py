@@ -18,7 +18,6 @@ from nedpca import (
     DomainError,
     ModelParams,
     ParamError,
-    count_patterns,
     density_formula,
     enumerate_compositions,
     enumerate_index_pairs,
