@@ -235,9 +235,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         floats = dataclasses.replace(params, p1=float(params.p1), p2=float(params.p2))
         table = stationary_table_formula(floats)
         if not plan.histogram_enabled:
-            raise ParamError("summary carries no histogram; rerun with histogram=True")
+            raise ParamError("--tv needs the state histogram, which --no-histogram turns off")
         if plan.samples == 0:
-            raise ParamError("empty summary has no empirical distribution")
+            raise ParamError("--tv needs at least one sample, and --samples is 0")
     with _naming(plan.trace_path):
         summary = run_simulation(plan)
     payload = summary.to_json_dict()

@@ -163,21 +163,17 @@ def reversibility_ratio(alpha: ConfigLike, beta: ConfigLike, params: ModelParams
 
 def enumerate_index_pairs(n: int, m: int, k: int) -> tuple[tuple[int, int], ...]:
     """All pairs (M, N) with M in {0..n-k-m+1} union {n-k},
-    0 <= N <= floor((n-k-M)/(m-1)), and N = 0 exactly when M = n-k.
+    0 <= N <= floor((n-k-M)/(m-1)), and N = 0 exactly when M = n-k; ascending.
     """
     if not 1 <= k <= n:
         raise ParamError(f"need 1 <= k <= n, got k={k}, n={n}")
     if m < 2:
         raise ParamError(f"need m >= 2, got {m}")
-    m_values = set(range(0, n - k - m + 2)) | {n - k}  # range is empty when n-k < m-1
-    pairs = []
-    for big_m in sorted(m_values):
-        top = (n - k - big_m) // (m - 1)
-        for big_n in range(top + 1):
-            if (big_n == 0) != (big_m == n - k):
-                continue
-            pairs.append((big_m, big_n))
-    return tuple(pairs)
+    return tuple(
+        (big_m, big_n)
+        for big_m in range(n - k - m + 2)
+        for big_n in range(1, (n - k - big_m) // (m - 1) + 1)
+    ) + ((n - k, 0),)
 
 
 def enumerate_compositions(M: int, k: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -227,11 +223,7 @@ class WeightTerm:
 
     @property
     def one_minus_p1_exponent(self) -> int:
-        return self.M + (self.m - 1) * self.N
-
-    @property
-    def m(self) -> int:
-        return len(self.x) + 2
+        return self.M + (len(self.x) + 1) * self.N  # x has m-2 entries
 
 
 def _multinomial(k: int, parts: tuple[int, ...]) -> int:

@@ -8,10 +8,11 @@ and has rational generating function
 
     sum_n Z_n x^n = (2 - x - p1 x) p2 / (p2 - p2 x (1+p1) - x^2 p1 (1-p1-p2)).
 
-z2_series expands this GF by power-series long division (a second route to
-Z_n) and z2_log_recurrence iterates Z_{n+1}/Z_n in logs (a third). Z_n times
-P[site occupied] has generating function p1 x (1 - x + q2 x) over the same
-denominator, scaled by p2, which density_series divides out. The growth rate
+z2_series expands this GF by long division, past two terms z2_recurrence's
+step: comparing the two checks the series' head, and partition_formula checks
+every term. z2_log_recurrence iterates Z_{n+1}/Z_n in logs (a second route).
+Z_n times P[site occupied] has generating function p1 x (1 - x + q2 x) over
+the same denominator, scaled by p2, which density_series divides out.
 F = lim (1/n) log Z_n is -log x_plus for the dominant denominator root; on
 p1 + p2 = 1 the denominator turns linear, x_minus runs off, F = log(1+p1).
 """

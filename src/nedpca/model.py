@@ -1,5 +1,5 @@
-"""Core model: ring configurations, update rules, one-step transition law, and
-the stationary-table type every evaluator returns.
+"""Core model: configurations, update rules, the exact one-step law and the
+stationary-table type every evaluator returns; montecarlo samples the law.
 
 The process lives on a ring of n sites, each holding 0 or 1. All sites update
 simultaneously. Site i reads the cyclic window (a_i, a_{i+1}, ..., a_{i+m-1})
@@ -43,7 +43,6 @@ __all__ = [
     "classify_window",
     "site_update_prob",
     "transition_prob",
-    "scalar_step",
     "window_masks",
     "ror",
 ]
@@ -260,7 +259,7 @@ def transition_prob(alpha: ConfigLike, beta: ConfigLike, params: ModelParams) ->
     return prob
 
 
-# ---- Stepping kernels ----
+# ---- Window masks ----
 
 
 def window_masks(code: int, params: ModelParams) -> tuple[int, int]:
@@ -279,34 +278,3 @@ def window_masks(code: int, params: ModelParams) -> tuple[int, int]:
     closing = ror(code, m - 1, n)
     return ~occupied_ahead & ~closing & mask, ~occupied_ahead & closing & mask
 
-
-def _thresholds(params: ModelParams) -> tuple[float, float]:
-    # the doubles every kernel tests a uniform against, whatever the number type
-    return float(params.p1), 1.0 - float(params.p2)
-
-
-def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
-    """Reference one-step update, site by site.
-
-    u must supply n uniforms indexed 0..n-1. Draw i is compared against
-    float(p1) at an open vacancy and against 1 - float(p2) at a blocked one; it
-    is ignored (but still consumed) at forced sites, so any kernel fed the same
-    stream makes identical decisions.
-    """
-    n, m = params.n, params.m
-    p1, r2 = _thresholds(params)
-    new = 0
-    for i in range(n):
-        forced = False
-        for t in range(m - 1):
-            if (code >> ((i + t) % n)) & 1:
-                forced = True
-                break
-        if forced:
-            continue
-        if (code >> ((i + m - 1) % n)) & 1:
-            if u[i] < r2:
-                new |= 1 << i
-        elif u[i] < p1:
-            new |= 1 << i
-    return new

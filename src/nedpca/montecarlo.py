@@ -2,12 +2,12 @@
 
 Both kernels consume exactly one uniform per site per step (the draw is
 discarded at forced sites), in site order, and test it against the same
-doubles, float(p1) and 1 - float(p2), so a scalar and a bit-parallel run with
-the same seed produce bit-identical trajectories. The bit-parallel kernel
-packs a chunk's threshold comparisons into one int per step and threshold
-(one numpy call per chunk when n <= 64), reads every site's window from the
-doubled code c | c << n, and updates all sites with a few integer operations
-and no function call; _advance is the one routine that steps either kernel.
+doubles, float(p1) and 1 - float(p2) from _thresholds, so scalar_step (the
+site-by-site reference) and the bit-parallel kernel give bit-identical
+trajectories from one seed. The latter packs a chunk's threshold comparisons
+into one int per step and threshold (one numpy call per chunk when n <= 64)
+and updates all sites from the doubled code c | c << n with a few integer
+operations and no function call; _advance alone steps either kernel.
 
 Per-chain streams come from numpy's SeedSequence.spawn, so chains never share
 a stream. Each chain draws its uniforms in chunks of at most _CHUNK_DOUBLES
@@ -32,7 +32,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -42,9 +42,7 @@ from .model import (
     Configuration,
     ModelParams,
     StationaryTable,
-    _thresholds,
     pattern_totals,
-    scalar_step,
 )
 
 __all__ = [
@@ -53,6 +51,7 @@ __all__ = [
     "TRACE_CAP",
     "SimulationPlan",
     "EmpiricalSummary",
+    "scalar_step",
     "run",
     "tv_distance",
     "kernel_throughput",
@@ -93,16 +92,11 @@ class SimulationPlan:
     trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ParamError(f"seed must be a nonnegative int, got {self.seed!r}")
-        if not isinstance(self.samples, int) or self.samples < 0:
-            raise ParamError(f"samples must be a nonnegative int, got {self.samples!r}")
-        for name in ("chains", "thin"):
+        for name, least in (("seed", 0), ("samples", 0), ("chains", 1), ("thin", 1), ("burn_in", 0)):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
-                raise ParamError(f"{name} must be a positive int, got {v!r}")
-        if not isinstance(self.burn_in, int) or self.burn_in < 0:
-            raise ParamError(f"burn_in must be a nonnegative int, got {self.burn_in!r}")
+            if not isinstance(v, int) or v < least:
+                kind = "positive" if least else "nonnegative"
+                raise ParamError(f"{name} must be a {kind} int, got {v!r}")
         if self.kernel not in _KERNELS:
             raise ParamError(f"kernel must be one of {_KERNELS}, got {self.kernel!r}")
         if self.histogram and self.params.n_states > HISTOGRAM_CAP:
@@ -183,6 +177,38 @@ def _row_words(bits: np.ndarray) -> list[int]:
         return words.view("<u8").ravel().tolist()
     data = packed.tobytes()
     return [int.from_bytes(data[lo : lo + width], "little") for lo in range(0, len(data), width)]
+
+
+def _thresholds(params: ModelParams) -> tuple[float, float]:
+    # the doubles every kernel tests a uniform against, whatever the number type
+    return float(params.p1), 1.0 - float(params.p2)
+
+
+def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
+    """Reference one-step update, site by site.
+
+    u must supply n uniforms indexed 0..n-1. Draw i is compared against
+    float(p1) at an open vacancy and against 1 - float(p2) at a blocked one; it
+    is ignored (but still consumed) at forced sites, so any kernel fed the same
+    stream makes identical decisions.
+    """
+    n, m = params.n, params.m
+    p1, r2 = _thresholds(params)
+    new = 0
+    for i in range(n):
+        forced = False
+        for t in range(m - 1):
+            if (code >> ((i + t) % n)) & 1:
+                forced = True
+                break
+        if forced:
+            continue
+        if (code >> ((i + m - 1) % n)) & 1:
+            if u[i] < r2:
+                new |= 1 << i
+        elif u[i] < p1:
+            new |= 1 << i
+    return new
 
 
 def _advance(code: int, params: ModelParams, u: np.ndarray, kernel: str) -> list[int]:

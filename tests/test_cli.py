@@ -246,7 +246,7 @@ class TestSimulate:
         "argv, code, message",
         [
             (("-n", "17", "--samples", "100000"), 3, "cap"),
-            (("-n", "6", "--samples", "300000", "--no-histogram"), 2, "no histogram"),
+            (("-n", "6", "--samples", "300000", "--no-histogram"), 2, "--no-histogram turns off"),
         ],
         ids=["no-exact-table", "no-histogram"],
     )
@@ -269,7 +269,7 @@ class TestSimulate:
             "--samples", "0", "--tv",
         )
         assert (code, out) == (2, "")
-        assert err == "error: empty summary has no empirical distribution\n"
+        assert err == "error: --tv needs at least one sample, and --samples is 0\n"
 
     def test_tv_builds_no_transition_matrix(self, capsys, monkeypatch):
         # the reference is the closed form in doubles, so --tv serves fractions

@@ -83,6 +83,22 @@ class TestIndexPairEnumeration:
         assert enumerate_index_pairs(3, 2, 3) == ((0, 0),)
         assert enumerate_index_pairs(5, 3, 2) == ((0, 1), (1, 1), (3, 0))
 
+    def test_equals_its_definition(self):
+        # the docstring's rule as a brute-force filter over M, N in 0..n-k, in order
+        for n in range(2, 41):
+            for m in range(2, min(n, 12) + 1):
+                for k in range(1, n + 1):
+                    r = n - k
+                    want = tuple(
+                        (M, N)
+                        for M in range(r + 1)
+                        for N in range(r + 1)
+                        if (M <= r - m + 1 or M == r)
+                        and N <= (r - M) // (m - 1)
+                        and (N == 0) == (M == r)
+                    )
+                    assert enumerate_index_pairs(n, m, k) == want, (n, m, k)
+
     def test_blocked_count_zero_iff_saturated_gap(self):
         for k in range(1, 9):
             for M, N in enumerate_index_pairs(8, 3, k):

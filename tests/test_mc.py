@@ -56,6 +56,15 @@ class TestPlanValidation:
         assert plan.histogram_enabled  # 64 states, well under the auto limit
         assert plan.start_code == 0
 
+    # each integer field's refusal, word for word
+    INT_MESSAGES = {
+        "seed": "seed must be a nonnegative int, got -1",
+        "samples": "samples must be a nonnegative int, got -5",
+        "chains": "chains must be a positive int, got 0",
+        "thin": "thin must be a positive int, got 0",
+        "burn_in": "burn_in must be a nonnegative int, got -1",
+    }
+
     @pytest.mark.parametrize(
         "kw",
         [
@@ -70,7 +79,9 @@ class TestPlanValidation:
         ],
     )
     def test_rejects_bad_fields(self, kw):
-        with pytest.raises(ParamError):
+        (field,) = kw
+        message = self.INT_MESSAGES.get(field)
+        with pytest.raises(ParamError, match=f"^{message}$" if message else None):
             make_plan(**kw)
 
     def test_start_shorthands(self):

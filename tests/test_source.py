@@ -101,6 +101,21 @@ def test_layers_stay_independent(layer):
     assert _package_imports(f"{layer}.py") - {"model", "errors"} == set()
 
 
+@pytest.mark.parametrize("layer", ["m2", "closedforms", "solver", "montecarlo"])
+def test_layers_import_no_private_names(layer):
+    # a private name a sibling needs is a rule kept in the wrong module
+    path = Path(nedpca.__file__).parent / f"{layer}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [
+        f"{node.module}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_oracle_never_weighs_configurations():
     # the dense oracle must reach pi by its linear solve, not through the
     # product-form weights it is checked against
