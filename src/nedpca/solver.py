@@ -1,4 +1,4 @@
-"""Dense finite-state reference: transition matrix, stationary solve, audits.
+"""Finite-state reference: sparse transition matrix, stationary solve, audits.
 
 Everything here enumerates the full state space 2**n, so it only scales to
 small rings, but it makes no appeal to any closed form: the stationary vector
@@ -6,16 +6,18 @@ comes out of a direct linear solve, lumped onto rotation orbits by a symmetry
 of the transition law alone. That is what lets the analytic evaluators
 elsewhere in the package be checked against an independent computation.
 
-Every check reads the one TransitionMatrix its caller built, and none holds
-a second 4**n array. The build, the lumping and the detailed-balance audit
-all work in row blocks of _BLOCK entries, so each block stays in cache.
+P is stored as compressed sparse rows: row a holds the 2**popcount(v)
+submasks of its vacancy mask v, and nothing is ever 4**n wide. Every check
+reads the one TransitionMatrix its caller built, a block of whole rows of
+about _BLOCK stored entries at a time, so each block stays in cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -36,12 +38,12 @@ __all__ = [
     "one_directional_pair",
 ]
 
-# A report holds one 8 * 4**n byte array, the matrix: 512 MiB at n = 13; n = 14
-# would need 2 GiB for P alone.
+# Float reports are capped where a dense P would take 512 MiB; the stored
+# entries take 16 * 3**n bytes at most (m = 2): 25 MiB at n = 13.
 FLOAT_CAP = 13
-# Exact mode pays for the 4**n Fraction build and residuals: ~6 s per report at n = 9.
+# Exact mode pays for Fraction products, lumps and residuals: ~1 s per report at n = 9.
 RATIONAL_CAP = 9
-_BLOCK = 1 << 17  # entries per build, lump or audit block (1 MiB): max(1, this // 2**n) rows
+_BLOCK = 1 << 17  # stored entries per build, lump, residual or audit block
 
 
 # ---- Types ----
@@ -49,18 +51,39 @@ _BLOCK = 1 << 17  # entries per build, lump or audit block (1 MiB): max(1, this 
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """Dense one-step matrix, entries[a, b] = P[a -> b].
+    """One-step matrix P in compressed sparse rows.
 
-    The entries are float64, or Python Fractions in an object array when the
-    parameters are exact.
+    Row a stores P[a -> cols[j]] = vals[j] for j in indptr[a]:indptr[a+1],
+    columns ascending; every entry not stored is zero. The values are
+    float64, or Python Fractions in an object array when the parameters are
+    exact.
     """
 
     params: ModelParams
-    entries: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_dense(cls, params: ModelParams, entries: np.ndarray) -> TransitionMatrix:
+        """The nonzeros of a dense array entries[a, b] = P[a -> b]."""
+        rows, cols = np.nonzero(entries)
+        indptr = np.searchsorted(rows, np.arange(params.n_states + 1))
+        return cls(params, indptr, cols, entries[rows, cols])
 
     @property
     def exact(self) -> bool:
         return self.params.exact
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Read-only dense view, entries[a, b] = P[a -> b], made on first use."""
+        ns = self.params.n_states
+        zero = Fraction(0) if self.vals.dtype == object else 0.0
+        dense = np.full((ns, ns), zero, dtype=self.vals.dtype)
+        dense[np.repeat(np.arange(ns), np.diff(self.indptr)), self.cols] = self.vals
+        dense.flags.writeable = False
+        return dense
 
 
 @dataclass(frozen=True)
@@ -71,18 +94,33 @@ class BalanceAudit:
     witness: tuple[Configuration, Configuration]
 
 
+def _blocks(matrix: TransitionMatrix, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # Walks the stored entries of `rows`, in their order, in runs of whole rows
+    # that cut at each _BLOCK-th entry; yields each entry's index into `rows`
+    # and its position in cols and vals.
+    lengths = matrix.indptr[rows + 1] - matrix.indptr[rows]
+    ends = np.cumsum(lengths)
+    shift = matrix.indptr[rows] - (ends - lengths)  # position minus running count
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _BLOCK), side="right"))
+    for lo, hi in zip(cuts, [*cuts[1:], len(rows)]):
+        which = np.repeat(np.arange(lo, hi), lengths[lo:hi])
+        yield which, np.arange(ends[lo] - lengths[lo], ends[hi - 1]) + shift[which]
+
+
 # ---- Matrix construction ----
 
 
 def build_matrix(params: ModelParams) -> TransitionMatrix:
     """Every row P[a -> .], as a product of independent site factors.
 
-    Bit i of a column index b is the new value at site i+1. Once bits
-    0..i-1 are placed, columns 0..2**i-1 hold each row's partial products;
-    bit i copies that block times its fill factor into columns
-    2**i..2**(i+1)-1, then scales the block in place by its stay factor.
-    These are the products of a per-row Kronecker expansion, in its order.
-    Rows run in blocks of _BLOCK entries, so P is written to memory once.
+    Row a's support is the submasks of its vacancy mask open | blocked; a
+    forced site keeps its one value with probability 1. For a block of rows
+    with c vacancies each, bit t of a column's index j in 0..2**c-1 is the
+    new value at the row's t-th vacancy: once bits 0..t-1 are placed, columns
+    0..2**t-1 hold the partial products, and bit t copies them times its fill
+    factor into 2**t..2**(t+1)-1, then scales them by its stay factor. The
+    products run over the vacancies in ascending site order, so each is the
+    dense site-by-site product without its exact factors of 1.
 
     Raises:
         BudgetExceeded: when n exceeds FLOAT_CAP, or RATIONAL_CAP for exact
@@ -96,23 +134,32 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
         )
     dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
     p1, p2 = params.p1, params.p2
-    ns, sites = params.n_states, np.arange(params.n)
+    stay, fill = np.array([1 - p1, p2], dtype=dtype), np.array([p1, 1 - p2], dtype=dtype)
+    ns = params.n_states
     open_mask, blocked_mask = window_masks(np.arange(ns, dtype=np.int64), params)
-    # site kinds, state by site: 0 forced, 1 open vacancy, 2 blocked vacancy
-    kind = ((open_mask[:, None] >> sites) & 1) + 2 * ((blocked_mask[:, None] >> sites) & 1)
-    stay = np.array([1, 1 - p1, p2], dtype=dtype)[kind]
-    fill = np.array([0, p1, 1 - p2], dtype=dtype)[kind]
-    entries = np.empty((ns, ns), dtype=dtype)
-    rows = max(1, _BLOCK // ns)
-    for start in range(0, ns, rows):
-        strip, states = entries[start : start + rows], slice(start, start + rows)
-        strip[:, 0] = one
-        for i in range(params.n):
-            width = 1 << i
-            block = strip[:, :width]
-            np.multiply(block, fill[states, i, None], out=strip[:, width : 2 * width])
-            block *= stay[states, i, None]
-    return TransitionMatrix(params=params, entries=entries)
+    vacant = ((open_mask | blocked_mask)[:, None] >> np.arange(params.n)) & 1
+    count = vacant.sum(axis=1)
+    indptr = np.zeros(ns + 1, dtype=np.int64)
+    np.cumsum(1 << count, out=indptr[1:])
+    cols, vals = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1], dtype=dtype)
+    for c in range(params.n + 1):
+        group = np.flatnonzero(count == c)
+        for start in range(0, len(group), max(1, _BLOCK >> c)):
+            rows = group[start : start + max(1, _BLOCK >> c)]
+            site = np.nonzero(vacant[rows])[1].reshape(len(rows), c)  # ascending
+            blocked = (blocked_mask[rows, None] >> site) & 1
+            bit, s, f = 1 << site, stay[blocked], fill[blocked]
+            col = np.zeros((len(rows), 1 << c), dtype=np.int64)
+            val = np.empty((len(rows), 1 << c), dtype=dtype)
+            val[:, 0] = one
+            for t in range(c):
+                low, high = slice(0, 1 << t), slice(1 << t, 2 << t)
+                np.bitwise_or(col[:, low], bit[:, t, None], out=col[:, high])
+                np.multiply(val[:, low], f[:, t, None], out=val[:, high])
+                val[:, low] *= s[:, t, None]
+            at = indptr[rows, None] + np.arange(1 << c)
+            cols[at], vals[at] = col, val
+    return TransitionMatrix(params, indptr, cols, vals)
 
 
 # ---- Stationary solve ----
@@ -141,7 +188,7 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     P must commute with rotating the ring, as every build_matrix result does;
     the chain then lumps exactly onto rotation orbits A (Kemeny & Snell 1960,
     sec. 6.3), with Q[A, B] = sum over b in B of P[a, b] for any a in A,
-    scattered straight from the representatives' rows in ascending b.
+    scattered straight from the representatives' stored entries in ascending b.
     Solves (Q^T - I) mu = 0 with its last equation replaced by sum(mu) = 1,
     in floats or Fractions alike, and returns pi(a) = mu(A) / |A|.
 
@@ -149,23 +196,21 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
         SolveFailed: if the lumped system is singular (chain not ergodic;
             cannot happen for validated parameters) or floats overflow.
     """
-    p, n = matrix.entries, matrix.params.n
+    n, dtype = matrix.params.n, matrix.vals.dtype
     codes = np.arange(matrix.params.n_states, dtype=np.int64)
     canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
     reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
     k = len(reps)
-    zero, one = (Fraction(0), Fraction(1)) if p.dtype == object else (0.0, 1.0)
-    aug = np.full((k, k + 1), zero, dtype=p.dtype)  # [Q^T - I | e_k]
-    flat, rows = aug.reshape(-1), max(1, _BLOCK // matrix.params.n_states)
-    for start in range(0, k, rows):
-        block = np.arange(start, min(start + rows, k))  # Q[A, B] lands at B * (k + 1) + A
-        np.add.at(flat, (orbit * (k + 1) + block[:, None]).ravel(), p[reps[block]].ravel())
+    zero, one = (Fraction(0), Fraction(1)) if dtype == object else (0.0, 1.0)
+    aug = np.full((k, k + 1), zero, dtype=dtype)  # [Q^T - I | e_k]
+    for rep, at in _blocks(matrix, reps):  # Q[A, B] lands at B * (k + 1) + A
+        np.add.at(aug.reshape(-1), orbit[matrix.cols[at]] * (k + 1) + rep, matrix.vals[at])
     aug[range(k), range(k)] -= one
     aug[-1] = one
     mu = _eliminate(aug)
-    if p.dtype != object and not np.isfinite(mu).all():
+    if dtype != object and not np.isfinite(mu).all():
         raise SolveFailed("stationary solve produced non-finite entries")
-    pi = mu[orbit] / sizes.astype(p.dtype)[orbit]
+    pi = mu[orbit] / sizes.astype(dtype)[orbit]
     return StationaryTable(params=matrix.params, probs=tuple(pi.tolist()))
 
 
@@ -173,8 +218,15 @@ def check_irreducible_aperiodic(matrix: TransitionMatrix) -> bool:
     """Ergodicity certificate: 0^n reaches and is reached by every state in one
     step with positive probability, and 0^n holds itself with positive
     probability (aperiodicity)."""
-    p = matrix.entries
-    return bool((p[0, :] > 0).all() and (p[:, 0] > 0).all() and p[0, 0] > 0)
+    indptr, cols, vals = matrix.indptr, matrix.cols, matrix.vals
+    row0, heads = vals[: indptr[1]], indptr[:-1]  # heads: each row's lowest column
+    return bool(
+        len(row0) == matrix.params.n_states
+        and (row0 > 0).all()
+        and (np.diff(indptr) > 0).all()
+        and (cols[heads] == 0).all()
+        and (vals[heads] > 0).all()
+    )
 
 
 def _check_consistent(table: StationaryTable, matrix: TransitionMatrix) -> None:
@@ -185,38 +237,50 @@ def _check_consistent(table: StationaryTable, matrix: TransitionMatrix) -> None:
 def balance_residual(table: StationaryTable, matrix: TransitionMatrix):
     """Master-equation residual max_b |sum_a P[a->b] pi(a) - pi(b)|.
 
+    Each sum runs over the stored entries of column b in ascending a.
     Exact (a Fraction) when both the matrix and the table are rational,
     a float otherwise.
     """
     _check_consistent(table, matrix)
     dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
-    p = np.asarray(matrix.entries, dtype=dtype)
     pi = np.asarray(table.probs, dtype=dtype)
-    worst = np.max(np.abs(p.T @ pi - pi))
+    inflow = np.zeros(len(pi), dtype=dtype)
+    for a, at in _blocks(matrix, np.arange(len(pi))):
+        np.add.at(inflow, matrix.cols[at], matrix.vals[at].astype(dtype) * pi[a])
+    worst = np.max(np.abs(inflow - pi))
     return worst if dtype is object else float(worst)
 
 
 def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> BalanceAudit:
     """Exhaustive maximization of |pi(a)P[a->b] - pi(b)P[b->a]| over ordered pairs.
 
-    Folds the flow gap's upper triangle a block of rows at a time, holding no
-    second 4**n array. The gap is exactly symmetric, so each dropped (a, b)
-    repeats an earlier (b, a), and the first maximum in row-major order wins.
+    Only a pair with a stored entry either way can be nonzero, so the gap is
+    formed at each stored (a, b), with P[b->a] looked up among the stored
+    keys b * 2**n + a. The gap is exactly symmetric, so the witness is the
+    smallest (min(a, b), max(a, b)) among the maxima: the first maximum in
+    row-major order over all pairs. (0^n, 0^n) when every gap is zero.
     """
     _check_consistent(table, matrix)
     n, ns = matrix.params.n, matrix.params.n_states
-    p = np.asarray(matrix.entries, dtype=float)
+    p = matrix.vals.astype(float)
     pi = np.asarray(table.probs, dtype=float)
-    rows = max(1, _BLOCK // ns)
-    worst, a, b = -1.0, 0, 0
-    for start in range(0, ns, rows):
-        block, width = slice(start, start + rows), ns - start
-        gap = pi[block, None] * p[block, start:]
-        gap -= (pi[start:, None] * p[start:, block]).T
-        np.abs(gap, out=gap)
-        k = int(np.argmax(gap))
-        if gap.flat[k] > worst:
-            worst, a, b = float(gap.flat[k]), start + k // width, start + k % width
+    keys = np.repeat(np.arange(ns), np.diff(matrix.indptr)) * ns + matrix.cols  # ascending
+    worst, pair = 0.0, 0
+    for a, at in _blocks(matrix, np.arange(ns)):
+        b = matrix.cols[at]
+        mirror = b * ns + a
+        order = np.argsort(b, kind="stable")  # a ascends within each b: mirror ascends
+        found = np.empty_like(at)
+        found[order] = np.minimum(np.searchsorted(keys, mirror[order]), len(keys) - 1)
+        back = np.where(keys[found] == mirror, p[found], 0.0)
+        gap = np.abs(pi[a] * p[at] - pi[b] * back)
+        top = gap.max()
+        if top >= worst and top > 0:
+            hit = gap == top
+            low = np.minimum(a[hit], b[hit]) * ns + np.maximum(a[hit], b[hit])
+            pair = min(int(low.min()), pair) if top == worst else int(low.min())
+            worst = float(top)
+    a, b = divmod(pair, ns)
     return BalanceAudit(max_violation=worst, witness=(Configuration(a, n), Configuration(b, n)))
 
 
@@ -226,10 +290,13 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
 def transition_edges(matrix: TransitionMatrix) -> list[tuple[str, str, float]]:
     """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings."""
     n = matrix.params.n
-    p = np.asarray(matrix.entries, dtype=float)
     names = [Configuration(code, n).to_string() for code in range(matrix.params.n_states)]
-    src, dst = np.nonzero(p > 0)
-    return [(names[a], names[b], float(p[a, b])) for a, b in zip(src.tolist(), dst.tolist())]
+    edges = []
+    for a, at in _blocks(matrix, np.arange(matrix.params.n_states)):
+        p = matrix.vals[at].astype(float)
+        live = p > 0  # p2 = 1 stores exact zeros
+        edges += zip(a[live].tolist(), matrix.cols[at][live].tolist(), p[live].tolist())
+    return [(names[a], names[b], x) for a, b, x in edges]
 
 
 def one_directional_pair(params: ModelParams) -> Optional[tuple[Configuration, Configuration]]:

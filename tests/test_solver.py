@@ -185,14 +185,27 @@ class TestBuildAndSolve:
             build_matrix(ModelParams(17, 2, 0.3, 0.5))
 
     def test_float_cap_refuses_before_allocating(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("numpy.empty called past the float cap")
+        for name in ("empty", "zeros", "full"):
 
-        monkeypatch.setattr(np, "empty", refuse)
+            def refuse(*args, name=name, **kwargs):
+                raise AssertionError(f"numpy.{name} called past the float cap")
+
+            monkeypatch.setattr(np, name, refuse)
         with pytest.raises(BudgetExceeded) as info:
             build_matrix(ModelParams(14, 3, 0.3, 0.5))
         message = str(info.value)
         assert "n=14" in message and "cap 13" in message and str(8 * 4**14) in message
+
+    @pytest.mark.parametrize("m, share", [(2, 0.25), (4, 0.05)])
+    def test_build_makes_no_dense_array(self, m, share):
+        # the stored entries are 3**12 at m = 2 and 39k at m = 4, against 4**12
+        tracemalloc.start()
+        try:
+            build_matrix(ModelParams(12, m, 0.3, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < share * 8 * 4**12
 
     def test_rational_cap(self):
         with pytest.raises(BudgetExceeded):
@@ -266,7 +279,7 @@ class TestRotationLumping:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.05 * matrix.entries.nbytes  # p[reps].T alone is 0.09 of it
+        assert peak < 0.05 * 8 * 4**12  # a dense p[reps].T alone is 0.09 of a dense P
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
     def test_identity_matrix_is_singular(self, exact):
@@ -277,7 +290,7 @@ class TestRotationLumping:
             params = ModelParams(4, 2, 0.3, 0.5)
             eye = np.eye(16)
         with pytest.raises(SolveFailed):
-            solve_stationary(TransitionMatrix(params, eye))
+            solve_stationary(TransitionMatrix.from_dense(params, eye))
 
 
 def dense_audit(table, matrix):
@@ -361,7 +374,7 @@ class TestBalanceAudits:
                 [0.25, 0.0, 0.0, 0.75],
             ]
         )
-        matrix = TransitionMatrix(params, entries)
+        matrix = TransitionMatrix.from_dense(params, entries)
         table = StationaryTable(params, (0.25,) * 4)
         gap = np.abs(0.25 * entries - 0.25 * entries.T)
         assert np.count_nonzero(np.triu(gap) == gap.max()) == 2
@@ -375,7 +388,7 @@ class TestBalanceAudits:
         params = ModelParams(n, 3, 0.3, 0.5)
         matrix = build_matrix(params)
         probs = solve_stationary(matrix).probs[::-1]
-        flipped = TransitionMatrix(params, matrix.entries[::-1, ::-1].copy())
+        flipped = TransitionMatrix.from_dense(params, matrix.entries[::-1, ::-1].copy())
         table = StationaryTable(params, probs)
         audit = audit_key(audit_detailed_balance(table, flipped))
         assert audit == dense_audit(table, flipped)
@@ -391,7 +404,7 @@ class TestBalanceAudits:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * matrix.entries.nbytes
+        assert peak < 0.5 * 8 * 4**10  # half a dense P
 
     def test_mismatched_inputs_rejected(self):
         matrix = build_matrix(ModelParams(4, 2, 0.3, 0.5))
