@@ -74,12 +74,18 @@ Real = Union[float, Fraction]
 
 
 def stationary_weight(beta: ConfigLike, params: ModelParams) -> Real:
-    """Unnormalized stationary weight of a configuration; pi = weight / Z."""
+    """Unnormalized stationary weight of a configuration; pi = weight / Z.
+
+    p1**N1 * (1 - p1)**E / p2**B, evaluated as (p1/p2)**B * p1**(N1 - B) *
+    (1 - p1)**E: each blocked vacancy precedes a distinct 1, so N1 >= B, and
+    no factor overflows unless the weight does.
+    """
     code = Configuration.coerce(beta, params.n).code
     open_mask, blocked_mask = window_masks(code, params)
     n1, blocked = code.bit_count(), blocked_mask.bit_count()
     zeros = params.n - n1 - open_mask.bit_count()
-    return params.p1**n1 * (1 - params.p1) ** zeros * params.p2 ** (-blocked)
+    p1 = params.p1
+    return (p1 / params.p2) ** blocked * p1 ** (n1 - blocked) * (1 - p1) ** zeros
 
 
 def _weights(params: ModelParams) -> np.ndarray:
@@ -90,10 +96,10 @@ def _weights(params: ModelParams) -> np.ndarray:
     open_mask, blocked_mask = window_masks(codes, params)
     n1, blocked = np.bitwise_count(codes), np.bitwise_count(blocked_mask)
     zeros = n - n1 - np.bitwise_count(open_mask)
+    pw12 = np.array([(p1 / params.p2) ** k for k in range(n // params.m + 1)])  # B <= n // m
     pw1 = np.array([p1**k for k in range(n + 1)])
     pw0 = np.array([(1 - p1) ** k for k in range(n + 1)])
-    pw2 = np.array([params.p2 ** (-k) for k in range(n + 1)])
-    return pw1[n1] * pw0[zeros] * pw2[blocked]
+    return pw12[blocked] * pw1[n1 - blocked] * pw0[zeros]
 
 
 def stationary_table_formula(params: ModelParams) -> StationaryTable:

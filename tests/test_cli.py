@@ -196,6 +196,17 @@ class TestOverflow:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_tiny_probabilities_give_z(self, capsys):
+        # p2**-k overflowed the weight-sum check's table though Z = 322
+        code, out, _ = run_cli(
+            capsys, "partition", "-n", "12", "-m", "2", "--p1", "1e-30", "--p2", "1e-30"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["Z"] == pytest.approx(322, rel=1e-12)
+        assert payload["checks"]["weight_sum_rel_gap"] < 1e-12
+
+
 class TestSimulate:
     def test_json_summary(self, capsys):
         code, out, _ = run_cli(

@@ -50,17 +50,33 @@ class TestStationaryWeight:
     def test_exact_weights(self):
         assert stationary_weight("011", RATIONAL) == Fraction(1, 4) * Fraction(3, 2)
 
+    def test_tiny_probabilities_do_not_overflow(self):
+        # p2**-2 alone is 1e400, but the weight is (1 - p1)**2
+        assert stationary_weight("1010", ModelParams(4, 2, 1e-200, 1e-200)) == 1.0
+        tiny = Fraction(1, 10**200)
+        assert stationary_weight("1010", ModelParams(4, 2, tiny, tiny)) == (1 - tiny) ** 2
+
+    def test_tiny_probabilities_table_matches_the_fractions(self):
+        p = Fraction(1, 10**30)
+        floats = stationary_table_formula(ModelParams(12, 2, float(p), float(p))).probs
+        exact = stationary_table_formula(ModelParams(12, 2, p, p)).probs
+        normal = [(x, y) for x, y in zip(floats, exact) if y > 1e-300]  # the rest underflow
+        assert len(normal) > 1000
+        assert max(abs(Fraction(x) - y) / y for x, y in normal) < 1e-12
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_equals_the_paper_pattern_product(self, n):
         # the weight is read off the window masks; the paper writes it over the
-        # patterns 1 0^r 1 and 0^(m-1) 1, counted here by an independent scanner
+        # patterns 1 0^r 1 and 0^(m-1) 1, counted here by an independent scanner.
+        # The product is p1^n1 (1-p1)^zeros p2^-blocked, taken in the library's
+        # order so that floats compare with ==
         points = [(0.3, 0.45), (Fraction(1, 3), Fraction(1, 2))]
         for m in range(2, n + 1):
             for code in range(2**n):
                 n1, inner, blocked = naive_counts(Configuration(code, n).bits(), m)
                 zeros = sum((r + 1) * c for r, c in enumerate(inner)) + (m - 1) * blocked
                 for p1, p2 in points:
-                    expected = p1**n1 * (1 - p1) ** zeros * p2 ** (-blocked)
+                    expected = (p1 / p2) ** blocked * p1 ** (n1 - blocked) * (1 - p1) ** zeros
                     assert stationary_weight(code, ModelParams(n, m, p1, p2)) == expected
 
     @given(
