@@ -360,9 +360,11 @@ def criterion_10(reduced: bool = False) -> CheckResult:
         and runs[0].density_mean == runs[1].density_mean
     )
 
+    # best of 3 runs per kernel, so one slow phase of a shared core cannot set the ratio
     params64 = ModelParams(64, 3, 0.3, 0.5)
-    fast = kernel_throughput(params64, "bitparallel", 5_000 if reduced else 20_000, seed=MC_SEED)
-    slow = kernel_throughput(params64, "scalar", 1_000 if reduced else 4_000, seed=MC_SEED)
+    fast_steps, slow_steps = (5_000, 1_000) if reduced else (20_000, 4_000)
+    fast = max(kernel_throughput(params64, "bitparallel", fast_steps, seed=MC_SEED) for _ in range(3))
+    slow = max(kernel_throughput(params64, "scalar", slow_steps, seed=MC_SEED) for _ in range(3))
     ratio = fast / slow
     passed = mismatch is None and runs_match and ratio >= 5.0
     if mismatch is None:

@@ -38,10 +38,11 @@ __all__ = [
     "one_directional_pair",
 ]
 
-# Float reports are capped where a dense P would take 512 MiB; the stored
-# entries take 16 * 3**n bytes at most (m = 2): 25 MiB at n = 13.
+# The caps were set for a dense P (512 MiB at n = 13) and stay until byte
+# budgets replace them; the stored entries take at most 16 * 3**n bytes (m = 2),
+# 25 MiB at n = 13.
 FLOAT_CAP = 13
-# Exact mode pays for Fraction products, lumps and residuals: ~1 s per report at n = 9.
+# Exact mode pays for Fraction products, the lump and the residual: ~0.8 s per report at n = 9.
 RATIONAL_CAP = 9
 _BLOCK = 1 << 17  # stored entries per build, lump, residual or audit block
 
@@ -81,7 +82,7 @@ class TransitionMatrix:
         ns = self.params.n_states
         zero = Fraction(0) if self.vals.dtype == object else 0.0
         dense = np.full((ns, ns), zero, dtype=self.vals.dtype)
-        dense[np.repeat(np.arange(ns), np.diff(self.indptr)), self.cols] = self.vals
+        dense[_entry_rows(self), self.cols] = self.vals
         dense.flags.writeable = False
         return dense
 
@@ -92,6 +93,11 @@ class BalanceAudit:
 
     max_violation: float
     witness: tuple[Configuration, Configuration]
+
+
+def _entry_rows(matrix: TransitionMatrix) -> np.ndarray:
+    # the row of every stored entry, in storage order
+    return np.repeat(np.arange(matrix.params.n_states), np.diff(matrix.indptr))
 
 
 def _blocks(matrix: TransitionMatrix, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -144,8 +150,9 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     cols, vals = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1], dtype=dtype)
     for c in range(params.n + 1):
         group = np.flatnonzero(count == c)
-        for start in range(0, len(group), max(1, _BLOCK >> c)):
-            rows = group[start : start + max(1, _BLOCK >> c)]
+        step = max(1, _BLOCK >> c)  # rows per (rows, 2**c) block
+        for start in range(0, len(group), step):
+            rows = group[start : start + step]
             site = np.nonzero(vacant[rows])[1].reshape(len(rows), c)  # ascending
             blocked = (blocked_mask[rows, None] >> site) & 1
             bit, s, f = 1 << site, stay[blocked], fill[blocked]
@@ -255,16 +262,17 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     """Exhaustive maximization of |pi(a)P[a->b] - pi(b)P[b->a]| over ordered pairs.
 
     Only a pair with a stored entry either way can be nonzero, so the gap is
-    formed at each stored (a, b), with P[b->a] looked up among the stored
-    keys b * 2**n + a. The gap is exactly symmetric, so the witness is the
-    smallest (min(a, b), max(a, b)) among the maxima: the first maximum in
-    row-major order over all pairs. (0^n, 0^n) when every gap is zero.
+    formed at each stored (a, b), with P[b->a] found by searching the stored
+    keys row * 2**n + column for b * 2**n + a. The gap is exactly symmetric,
+    so the witness is the smallest (min(a, b), max(a, b)) among the maxima:
+    the first maximum in row-major order over all pairs. (0^n, 0^n) when
+    every gap is zero.
     """
     _check_consistent(table, matrix)
     n, ns = matrix.params.n, matrix.params.n_states
     p = matrix.vals.astype(float)
     pi = np.asarray(table.probs, dtype=float)
-    keys = np.repeat(np.arange(ns), np.diff(matrix.indptr)) * ns + matrix.cols  # ascending
+    keys = _entry_rows(matrix) * ns + matrix.cols  # ascending
     worst, pair = 0.0, 0
     for a, at in _blocks(matrix, np.arange(ns)):
         b = matrix.cols[at]
@@ -291,11 +299,9 @@ def transition_edges(matrix: TransitionMatrix) -> list[tuple[str, str, float]]:
     """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings."""
     n = matrix.params.n
     names = [Configuration(code, n).to_string() for code in range(matrix.params.n_states)]
-    edges = []
-    for a, at in _blocks(matrix, np.arange(matrix.params.n_states)):
-        p = matrix.vals[at].astype(float)
-        live = p > 0  # p2 = 1 stores exact zeros
-        edges += zip(a[live].tolist(), matrix.cols[at][live].tolist(), p[live].tolist())
+    p = matrix.vals.astype(float)
+    live = p > 0  # p2 = 1 stores exact zeros
+    edges = zip(_entry_rows(matrix)[live].tolist(), matrix.cols[live].tolist(), p[live].tolist())
     return [(names[a], names[b], x) for a, b, x in edges]
 
 
