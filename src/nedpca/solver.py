@@ -120,7 +120,7 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     """Every row P[a -> .], as a product of independent site factors.
 
     Row a's support is the submasks of its vacancy mask open | blocked; a
-    forced site keeps its one value with probability 1. For a block of rows
+    forced site becomes 0 with probability 1. For a block of rows
     with c vacancies each, bit t of a column's index j in 0..2**c-1 is the
     new value at the row's t-th vacancy: once bits 0..t-1 are placed, columns
     0..2**t-1 hold the partial products, and bit t copies them times its fill
@@ -225,15 +225,10 @@ def check_irreducible_aperiodic(matrix: TransitionMatrix) -> bool:
     """Ergodicity certificate: 0^n reaches and is reached by every state in one
     step with positive probability, and 0^n holds itself with positive
     probability (aperiodicity)."""
-    indptr, cols, vals = matrix.indptr, matrix.cols, matrix.vals
-    row0, heads = vals[: indptr[1]], indptr[:-1]  # heads: each row's lowest column
-    return bool(
-        len(row0) == matrix.params.n_states
-        and (row0 > 0).all()
-        and (np.diff(indptr) > 0).all()
-        and (cols[heads] == 0).all()
-        and (vals[heads] > 0).all()
-    )
+    # a row stores each column at most once, so 2**n entries fill row 0 or column 0
+    row0, col0 = matrix.vals[: matrix.indptr[1]], matrix.vals[matrix.cols == 0]
+    full = len(row0) == len(col0) == matrix.params.n_states
+    return bool(full and (row0 > 0).all() and (col0 > 0).all())
 
 
 def _check_consistent(table: StationaryTable, matrix: TransitionMatrix) -> None:
