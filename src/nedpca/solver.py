@@ -272,7 +272,7 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     for a, at in _blocks(matrix, np.arange(ns)):
         b = matrix.cols[at]
         mirror = b * ns + a
-        order = np.argsort(b, kind="stable")  # a ascends within each b: mirror ascends
+        order = np.argsort(b, kind="stable")  # sorts mirror (a ascends in each b): a faster search
         found = np.empty_like(at)
         found[order] = np.minimum(np.searchsorted(keys, mirror[order]), len(keys) - 1)
         back = np.where(keys[found] == mirror, p[found], 0.0)

@@ -195,7 +195,6 @@ class TestOverflow:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
-
     def test_tiny_probabilities_give_z(self, capsys):
         # p2**-k overflowed the weight-sum check's table though Z = 322
         code, out, _ = run_cli(

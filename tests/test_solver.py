@@ -127,7 +127,9 @@ BIT_IDENTITY_POINTS = pytest.mark.parametrize(
 
 class TestBitIdentity:
     """The row-blocked build and the flat lump give the bits of the full-width
-    references. `ragged` cuts blocks of 5 rows, so the last block is short."""
+    references. `ragged` sets _BLOCK to 5 * 2**n stored entries, so the build
+    fills groups of rows in several short blocks and the lump walks several
+    runs of whole rows, the last one short."""
 
     @BIT_IDENTITY_POINTS
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -355,7 +357,7 @@ class TestBalanceAudits:
     @pytest.mark.parametrize("n", [5, 8])
     @pytest.mark.parametrize("m, p1, p2", [(3, 0.3, 0.5), (2, 0.3, 0.7)])
     def test_ragged_blocks_of_three_rows(self, monkeypatch, n, m, p1, p2):
-        monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n)  # 2**n rows leave 1 or 2 over
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n)  # 2 to 9 runs of whole rows
         matrix = build_matrix(ModelParams(n, m, p1, p2))
         table = solve_stationary(matrix)
         assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(table, matrix)
@@ -364,7 +366,7 @@ class TestBalanceAudits:
     def test_tied_maximum_keeps_the_dense_witness(self, monkeypatch, block):
         # uniform pi, so the gap is |P[a, b] - P[b, a]| / 4, exact in binary; it
         # peaks at 1/8 on the unordered pairs {1, 3} and {2, 3}, off row 0
-        monkeypatch.setattr(nedpca.solver, "_BLOCK", block)
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", block)  # 4 or 8 split the 9 stored entries
         params = ModelParams(2, 2, 0.3, 0.5)
         entries = np.array(
             [
@@ -384,7 +386,9 @@ class TestBalanceAudits:
     @pytest.mark.parametrize("n", [5, 8])
     def test_witness_in_a_late_ragged_block(self, monkeypatch, n):
         # relabel a -> 2**n - 1 - a so the worst pair sits inside a late block
-        monkeypatch.setattr(nedpca.solver, "_BLOCK", 6 << n)  # 6 rows: 2**n leaves 2 or 4
+        # runs of whole rows of about 24 stored entries, so their lengths vary;
+        # the witness falls in run 1 of 5 (n = 5) and run 23 of 66 (n = 8)
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 24)
         params = ModelParams(n, 3, 0.3, 0.5)
         matrix = build_matrix(params)
         probs = solve_stationary(matrix).probs[::-1]
