@@ -24,11 +24,11 @@ class BudgetExceeded(NedpcaError):
 
 
 class SolveFailed(NedpcaError):
-    """The stationary linear system turned out singular.
+    """The stationary solve met a reducible lumped chain, or a float overflowed.
 
     The solve presumes that P commutes with rotating the ring, as every built
-    matrix does. For valid parameters the chain is then ergodic, so this
-    signals an escape from validation (or a hand-built matrix).
+    matrix does. For valid parameters the chain is then ergodic, so a reducible
+    chain signals an escape from validation (or a hand-built matrix).
     """
 
 

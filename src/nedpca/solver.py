@@ -2,7 +2,7 @@
 
 Everything here enumerates the full state space 2**n, so it only scales to
 small rings, but it makes no appeal to any closed form: the stationary vector
-comes out of a direct linear solve, lumped onto rotation orbits by a symmetry
+comes out of a GTH state reduction, lumped onto rotation orbits by a symmetry
 of the transition law alone. That is what lets the analytic evaluators
 elsewhere in the package be checked against an independent computation.
 
@@ -42,7 +42,7 @@ __all__ = [
 # budgets replace them; the stored entries take at most 16 * 3**n bytes (m = 2),
 # 25 MiB at n = 13.
 FLOAT_CAP = 13
-# Exact mode pays for Fraction products, the lump and the residual: ~0.8 s per report at n = 9.
+# Exact mode pays for Fraction products, the solve and the residual: ~0.3-0.7 s per report at n = 9.
 RATIONAL_CAP = 9
 _BLOCK = 1 << 17  # stored entries per build, lump, residual or audit block
 
@@ -172,21 +172,21 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
 # ---- Stationary solve ----
 
 
-def _eliminate(aug: np.ndarray) -> np.ndarray:
-    # Solves [A | b] by elimination with partial pivoting, then back-substitution.
-    # Any nonzero pivot is exact for Fractions, so both dtypes share these lines.
-    k = len(aug)
-    for col in range(k):
-        piv = col + np.abs(aug[col:, col]).argmax()
-        if aug[piv, col] == 0:
-            raise SolveFailed(f"stationary system is singular at column {col}")
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        pivot_row = aug[col, col:] / aug[col, col]
-        aug[col + 1 :, col:] -= aug[col + 1 :, col, None] * pivot_row
-    for col in range(k - 1, -1, -1):
-        aug[col, k] = (aug[col, k] - aug[col, col + 1 : k] @ aug[col + 1 :, k]) / aug[col, col]
-    return aug[:, k]
+def _reduce(q: np.ndarray) -> np.ndarray:
+    # GTH state reduction (Grassmann, Taksar & Heyman 1985) of the stochastic q, in
+    # place: orbits k-1..1 are censored out, then mu is back-substituted from mu_0 = 1.
+    # No term is subtracted, so each entry keeps a small relative error (O'Cinneide 1993).
+    k = len(q)
+    s = [None] * k  # s[c]: what orbit c sends to orbits 0..c-1
+    for c in range(k - 1, 0, -1):
+        s[c] = q[c, :c].sum()
+        if s[c] == 0:
+            raise SolveFailed(f"lumped chain is reducible: orbit {c} never reaches orbits 0..{c - 1}")
+        q[:c, :c] += np.outer(q[:c, c], q[c, :c] / s[c])
+    mu = np.ones(k, dtype=q.dtype)
+    for c in range(1, k):
+        mu[c] = mu[:c] @ q[:c, c] / s[c]
+    return mu / mu.sum()
 
 
 def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
@@ -196,27 +196,26 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     the chain then lumps exactly onto rotation orbits A (Kemeny & Snell 1960,
     sec. 6.3), with Q[A, B] = sum over b in B of P[a, b] for any a in A,
     scattered straight from the representatives' stored entries in ascending b.
-    Solves (Q^T - I) mu = 0 with its last equation replaced by sum(mu) = 1,
-    in floats or Fractions alike, and returns pi(a) = mu(A) / |A|.
+    One GTH state reduction of Q, in floats or Fractions alike, gives mu >= 0
+    even at tiny p1 and p2; returns pi(a) = mu(A) / |A|.
 
     Raises:
-        SolveFailed: if the lumped system is singular (chain not ergodic;
-            cannot happen for validated parameters) or floats overflow.
+        SolveFailed: if the lumped chain is reducible (cannot happen for
+            validated parameters) or a float overflows.
     """
     n, dtype = matrix.params.n, matrix.vals.dtype
     codes = np.arange(matrix.params.n_states, dtype=np.int64)
     canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
     reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
     k = len(reps)
-    zero, one = (Fraction(0), Fraction(1)) if dtype == object else (0.0, 1.0)
-    aug = np.full((k, k + 1), zero, dtype=dtype)  # [Q^T - I | e_k]
-    for rep, at in _blocks(matrix, reps):  # Q[A, B] lands at B * (k + 1) + A
-        np.add.at(aug.reshape(-1), orbit[matrix.cols[at]] * (k + 1) + rep, matrix.vals[at])
-    aug[range(k), range(k)] -= one
-    aug[-1] = one
-    mu = _eliminate(aug)
-    if dtype != object and not np.isfinite(mu).all():
-        raise SolveFailed("stationary solve produced non-finite entries")
+    q = np.full((k, k), Fraction(0) if dtype == object else 0.0, dtype=dtype)
+    for rep, at in _blocks(matrix, reps):  # Q[A, B] lands at A * k + B
+        np.add.at(q.reshape(-1), rep * k + orbit[matrix.cols[at]], matrix.vals[at])
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            mu = _reduce(q)
+        except FloatingPointError:
+            raise SolveFailed(f"stationary solve overflows a float at {matrix.params}") from None
     pi = mu[orbit] / sizes.astype(dtype)[orbit]
     return StationaryTable(params=matrix.params, probs=tuple(pi.tolist()))
 

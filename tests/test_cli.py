@@ -205,6 +205,16 @@ class TestOverflow:
         assert payload["Z"] == pytest.approx(322, rel=1e-12)
         assert payload["checks"]["weight_sum_rel_gap"] < 1e-12
 
+    def test_tiny_probabilities_solve(self, capsys):
+        # a nearly decomposable chain, where a solve that subtracts loses every digit
+        code, out, _ = run_cli(
+            capsys, "exact", "-n", "12", "-m", "2", "--p1", "1e-30", "--p2", "1e-30"
+        )
+        assert code == 0
+        z = float(re.search(r"Z \(solver, 1/pi\(all-vacant\)\): (\S+)", out).group(1))
+        assert z == pytest.approx(322, rel=1e-12)
+        assert float(re.search(r"sup gap formula vs solver: (\S+)", out).group(1)) < 1e-12
+
 
 class TestSimulate:
     def test_json_summary(self, capsys):

@@ -102,19 +102,16 @@ def full_width_build(params):
 
 
 def add_at_table(matrix):
-    """Reference solve: Q^T from one 2-D np.add.at over the representatives'
-    rows, then the solver's own elimination."""
+    """Reference solve: Q from one 2-D np.add.at over the representatives'
+    rows, then the solver's own GTH reduction."""
     p, n = matrix.entries, matrix.params.n
     codes = np.arange(matrix.params.n_states, dtype=np.int64)
     canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
     reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
     k = len(reps)
-    zero, one = (Fraction(0), Fraction(1)) if p.dtype == object else (0.0, 1.0)
-    aug = np.full((k, k + 1), zero, dtype=p.dtype)
-    np.add.at(aug[:, :k], orbit, p[reps].T)
-    aug[range(k), range(k)] -= one
-    aug[-1] = one
-    mu = nedpca.solver._eliminate(aug)
+    q = np.full((k, k), Fraction(0) if p.dtype == object else 0.0, dtype=p.dtype)
+    np.add.at(q, (slice(None), orbit), p[reps])
+    mu = nedpca.solver._reduce(q)
     return tuple((mu[orbit] / sizes.astype(p.dtype)[orbit]).tolist())
 
 
@@ -293,6 +290,23 @@ class TestRotationLumping:
             eye = np.eye(16)
         with pytest.raises(SolveFailed):
             solve_stationary(TransitionMatrix.from_dense(params, eye))
+
+    @pytest.mark.parametrize(
+        "n, m, p1, p2",
+        [(6, 2, 1e-30, 1e-30), (8, 3, 1e-30, 1e-30), (7, 4, 1e-12, 1e-12), (4, 3, 0.999999, 1e-12)],
+    )
+    def test_nearly_decomposable_chain_keeps_relative_accuracy(self, n, m, p1, p2):
+        # 0^n holds itself for about 1/p1 steps, so a solve that subtracts loses every digit
+        probs = np.asarray(solve_stationary(build_matrix(ModelParams(n, m, p1, p2))).probs)
+        exact = stationary_table_formula(ModelParams(n, m, Fraction(p1), Fraction(p2))).probs
+        expected = np.array([float(x) for x in exact])
+        assert (probs >= 0).all()
+        assert np.max(np.abs(probs - expected) / expected) < 1e-12
+
+    def test_float_overflow_names_the_point(self):
+        # pi(0^n) / pi(010101) is about 1e-900, past the float range
+        with pytest.raises(SolveFailed, match=r"n=6, m=2, p1=0\.5, p2=1e-300"):
+            solve_stationary(build_matrix(ModelParams(6, 2, 0.5, 1e-300)))
 
 
 def dense_audit(table, matrix):
