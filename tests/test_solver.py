@@ -304,7 +304,7 @@ class TestRotationLumping:
         assert np.max(np.abs(probs - expected) / expected) < 1e-12
 
     def test_float_overflow_names_the_point(self):
-        # pi(0^n) / pi(010101) is about 1e-900, past the float range
+        # pi(0^n) / pi(010101) is about 6e-899, past the float range
         with pytest.raises(SolveFailed, match=r"n=6, m=2, p1=0\.5, p2=1e-300"):
             solve_stationary(build_matrix(ModelParams(6, 2, 0.5, 1e-300)))
 
