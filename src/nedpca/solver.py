@@ -4,7 +4,9 @@ Everything here enumerates the full state space 2**n, so it only scales to
 small rings, but it makes no appeal to any closed form: the stationary vector
 comes out of a GTH state reduction, lumped onto rotation orbits by a symmetry
 of the transition law alone. That is what lets the analytic evaluators
-elsewhere in the package be checked against an independent computation.
+elsewhere in the package be checked against an independent computation. The
+reduction censors orbits in panels of _PANEL, so each panel reaches the rest
+of the lumped matrix in one matrix product.
 
 P is stored as compressed sparse rows: row a holds the 2**popcount(v)
 submasks of its vacancy mask v, and nothing is ever 4**n wide. Every check
@@ -45,6 +47,7 @@ FLOAT_CAP = 13
 # Exact mode pays for Fraction products, the solve and the residual: ~0.3-0.7 s per report at n = 9.
 RATIONAL_CAP = 9
 _BLOCK = 1 << 17  # stored entries per build, lump, residual or audit block
+_PANEL = 16  # orbits censored per panel of the GTH reduction
 
 
 # ---- Types ----
@@ -173,16 +176,23 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
 
 
 def _reduce(q: np.ndarray) -> np.ndarray:
-    # GTH state reduction (Grassmann, Taksar & Heyman 1985) of the stochastic q, in
-    # place: orbits k-1..1 are censored out, then mu is back-substituted from mu_0 = 1.
+    # Blocked GTH state reduction (Grassmann, Taksar & Heyman 1985) of the stochastic q,
+    # in place: orbits k-1..1 are censored in panels lo..hi-1 of _PANEL, where orbit c
+    # updates only the panel rows q[lo:c, :c] and columns q[:lo, lo:c], and q[:lo, :lo]
+    # takes the whole panel in one product; then mu is back-substituted from mu_0 = 1.
     # No term is subtracted, so each entry keeps a small relative error (O'Cinneide 1993).
     k = len(q)
-    s = [None] * k  # s[c]: what orbit c sends to orbits 0..c-1
-    for c in range(k - 1, 0, -1):
-        s[c] = q[c, :c].sum()
-        if s[c] == 0:
-            raise SolveFailed(f"lumped chain is reducible: orbit {c} never reaches orbits 0..{c - 1}")
-        q[:c, :c] += np.outer(q[:c, c], q[c, :c] / s[c])
+    s = np.ones(k, dtype=q.dtype)  # s[c]: what orbit c sends to orbits 0..c-1
+    for hi in range(k, 1, -_PANEL):
+        lo = max(hi - _PANEL, 1)
+        for c in range(hi - 1, lo - 1, -1):
+            s[c] = q[c, :c].sum()
+            if s[c] == 0:
+                raise SolveFailed(f"lumped chain is reducible: orbit {c} never reaches orbits 0..{c - 1}")
+            out = q[c, :c] / s[c]
+            q[lo:c, :c] += np.outer(q[lo:c, c], out)
+            q[:lo, lo:c] += np.outer(q[:lo, c], out[lo:])
+        q[:lo, :lo] += q[:lo, lo:hi] @ (q[lo:hi, :lo] / s[lo:hi, None])
     mu = np.ones(k, dtype=q.dtype)
     for c in range(1, k):
         mu[c] = mu[:c] @ q[:c, c] / s[c]
@@ -223,11 +233,11 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
 def check_irreducible_aperiodic(matrix: TransitionMatrix) -> bool:
     """Ergodicity certificate: 0^n reaches and is reached by every state in one
     step with positive probability, and 0^n holds itself with positive
-    probability (aperiodicity)."""
+    probability (aperiodicity). Read from which entries row 0 and column 0
+    store, not their values: build_matrix stores there only products of p1,
+    1 - p1 and p2, so an entry whose float underflows to 0.0 is still an edge."""
     # a row stores each column at most once, so 2**n entries fill row 0 or column 0
-    row0, col0 = matrix.vals[: matrix.indptr[1]], matrix.vals[matrix.cols == 0]
-    full = len(row0) == len(col0) == matrix.params.n_states
-    return bool(full and (row0 > 0).all() and (col0 > 0).all())
+    return bool(matrix.indptr[1] == np.count_nonzero(matrix.cols == 0) == matrix.params.n_states)
 
 
 def _check_consistent(table: StationaryTable, matrix: TransitionMatrix) -> None:

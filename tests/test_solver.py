@@ -101,9 +101,25 @@ def full_width_build(params):
     return entries
 
 
-def add_at_table(matrix):
+def unblocked_reduce(q):
+    """Reference reduction: GTH censoring one orbit at a time, each a rank-1
+    update of the whole leading block, then mu back-substituted from mu_0 = 1."""
+    k = len(q)
+    s = [None] * k
+    for c in range(k - 1, 0, -1):
+        s[c] = q[c, :c].sum()
+        if s[c] == 0:
+            raise SolveFailed(f"lumped chain is reducible: orbit {c} never reaches orbits 0..{c - 1}")
+        q[:c, :c] += np.outer(q[:c, c], q[c, :c] / s[c])
+    mu = np.ones(k, dtype=q.dtype)
+    for c in range(1, k):
+        mu[c] = mu[:c] @ q[:c, c] / s[c]
+    return mu / mu.sum()
+
+
+def add_at_table(matrix, reduce):
     """Reference solve: Q from one 2-D np.add.at over the representatives'
-    rows, then the solver's own GTH reduction."""
+    rows, then the GTH reduction `reduce`."""
     p, n = matrix.entries, matrix.params.n
     codes = np.arange(matrix.params.n_states, dtype=np.int64)
     canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
@@ -111,7 +127,7 @@ def add_at_table(matrix):
     k = len(reps)
     q = np.full((k, k), Fraction(0) if p.dtype == object else 0.0, dtype=p.dtype)
     np.add.at(q, (slice(None), orbit), p[reps])
-    mu = nedpca.solver._reduce(q)
+    mu = reduce(q)
     return tuple((mu[orbit] / sizes.astype(p.dtype)[orbit]).tolist())
 
 
@@ -151,7 +167,26 @@ class TestBitIdentity:
             matrix = build_matrix(ModelParams(n, m, p1, p2))
             if ragged:
                 monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
-            assert solve_stationary(matrix).probs == add_at_table(matrix), n
+            assert solve_stationary(matrix).probs == add_at_table(matrix, nedpca.solver._reduce), n
+
+    @pytest.mark.parametrize("width", [1, 5, 7, nedpca.solver._PANEL], ids=lambda w: f"panel{w}")
+    @pytest.mark.parametrize(
+        "m, p1, p2, n_hi",
+        [(2, 0.3, 0.5, 10), (3, 0.05, 0.95, 10), (4, 1e-12, 1e-12, 10), (2, Fraction(1, 3), Fraction(1, 2), 7)],
+        ids=["float-0.3-0.5", "float-0.05-0.95", "float-tiny", "exact"],
+    )
+    def test_blocked_reduce_equals_unblocked_loop(self, monkeypatch, width, m, p1, p2, n_hi):
+        # n = 2..10 has k = 3, 4, 6, 8, 14, 20, 36, 60, 108 orbits, so the widths meet
+        # k below one panel (5, 7, 16), k a multiple of the width (1; 5 at 20 and 60;
+        # 7 at 14) and a ragged last panel (5, 7, 16 at 20 and above)
+        monkeypatch.setattr(nedpca.solver, "_PANEL", width)
+        for n in range(m, n_hi + 1):
+            matrix = build_matrix(ModelParams(n, m, p1, p2))
+            blocked, reference = solve_stationary(matrix).probs, add_at_table(matrix, unblocked_reduce)
+            if matrix.exact:
+                assert blocked == reference, n
+            else:
+                assert np.max(np.abs(np.subtract(blocked, reference)) / reference) < 1e-13, n
 
 
 class TestBuildAndSolve:
@@ -214,6 +249,23 @@ class TestBuildAndSolve:
     @settings(max_examples=25, deadline=None)
     def test_chain_is_irreducible_aperiodic(self, params):
         assert check_irreducible_aperiodic(build_matrix(params))
+
+    def test_certificate_reads_stored_entries_not_values(self):
+        # p1**2 underflows, so row 0 stores exact zeros for the edges to 2+ particles
+        matrix = build_matrix(ModelParams(6, 2, 1e-300, 1e-300))
+        assert (matrix.vals[: matrix.indptr[1]] == 0).any()
+        assert check_irreducible_aperiodic(matrix)
+
+    @pytest.mark.parametrize("missing", [(0, 5), (0, 0), (6, 0)], ids=["row0", "self-loop", "column0"])
+    def test_certificate_refuses_a_missing_edge(self, missing):
+        # the missing edge's mass moves to another stored entry of its row
+        params = ModelParams(4, 2, 0.3, 0.5)
+        entries = build_matrix(params).entries.copy()
+        row, col = missing
+        other = next(b for b in np.flatnonzero(entries[row]) if b != col)
+        entries[row, other] += entries[row, col]
+        entries[row, col] = 0.0
+        assert not check_irreducible_aperiodic(TransitionMatrix.from_dense(params, entries))
 
 
 def dense_lu_table(matrix):
@@ -293,10 +345,17 @@ class TestRotationLumping:
 
     @pytest.mark.parametrize(
         "n, m, p1, p2",
-        [(6, 2, 1e-30, 1e-30), (8, 3, 1e-30, 1e-30), (7, 4, 1e-12, 1e-12), (4, 3, 0.999999, 1e-12)],
+        [
+            (6, 2, 1e-30, 1e-30),
+            (8, 3, 1e-30, 1e-30),
+            (7, 4, 1e-12, 1e-12),
+            (4, 3, 0.999999, 1e-12),
+            (12, 4, 1e-12, 1e-12),
+        ],
     )
     def test_nearly_decomposable_chain_keeps_relative_accuracy(self, n, m, p1, p2):
-        # 0^n holds itself for about 1/p1 steps, so a solve that subtracts loses every digit
+        # 0^n holds itself for about 1/p1 steps, so a solve that subtracts loses every
+        # digit; n = 12 has 352 orbits, 22 panels of the reduction
         probs = np.asarray(solve_stationary(build_matrix(ModelParams(n, m, p1, p2))).probs)
         exact = stationary_table_formula(ModelParams(n, m, Fraction(p1), Fraction(p2))).probs
         expected = np.array([float(x) for x in exact])
@@ -307,6 +366,42 @@ class TestRotationLumping:
         # pi(0^n) / pi(010101) is about 6e-899, past the float range
         with pytest.raises(SolveFailed, match=r"n=6, m=2, p1=0\.5, p2=1e-300"):
             solve_stationary(build_matrix(ModelParams(6, 2, 0.5, 1e-300)))
+
+    def test_float_overflow_in_the_panel_product_names_the_point(self, monkeypatch):
+        # n = 4 has orbits {0}, {1, 2, 4, 8}, {3, ...}, {5, 10}, {7, ...}, {15}. Orbits
+        # 1..3 go to 0^n and orbits 4 and 5 to orbit 1, while 0^n sends 1.6e308 and 1e308
+        # to orbits 4 and 5: the panel of orbits 4 and 5 adds both into q[0, 1] in one
+        # product, and the sum inside it overflows
+        monkeypatch.setattr(nedpca.solver, "_PANEL", 2)
+        params = ModelParams(4, 2, 0.3, 0.5)
+        entries = np.zeros((16, 16))
+        entries[[1, 2, 3, 4, 5, 6, 8, 9, 10, 12], 0] = 1.0
+        entries[np.ix_([7, 11, 13, 14, 15], [1, 2, 4, 8])] = 0.25
+        entries[0, [7, 11, 13, 14]], entries[0, 15] = 4e307, 1e308
+        with pytest.raises(SolveFailed, match=r"overflows a float at .*n=4, m=2, p1=0\.3, p2=0\.5") as failed:
+            solve_stationary(TransitionMatrix.from_dense(params, entries))
+        assert str(failed.value.__context__) == "overflow encountered in matmul"
+
+    @pytest.mark.parametrize(
+        "params, width, dead",
+        [
+            (ModelParams(8, 2, 0.3, 0.5), nedpca.solver._PANEL, 10),  # panel 2 of 3
+            (ModelParams(8, 2, 0.3, 0.5), nedpca.solver._PANEL, 2),  # panel 3 of 3
+            (ModelParams(6, 2, Fraction(1, 3), Fraction(1, 2)), 4, 3),  # panel 3 of 4
+        ],
+        ids=["float-orbit10", "float-orbit2", "exact-orbit3"],
+    )
+    def test_dead_orbit_in_a_late_panel_is_named(self, monkeypatch, params, width, dead):
+        # every state of orbit `dead` holds itself, so the orbit never reaches a lower one
+        monkeypatch.setattr(nedpca.solver, "_PANEL", width)
+        orbit = rotation_orbits(params.n)
+        rep = sorted(set(orbit))[dead]
+        entries = build_matrix(params).entries.copy()
+        for a in (a for a in range(params.n_states) if orbit[a] == rep):
+            entries[a] = Fraction(0) if params.exact else 0.0
+            entries[a, a] = Fraction(1) if params.exact else 1.0
+        with pytest.raises(SolveFailed, match=rf"orbit {dead} never reaches orbits 0\.\.{dead - 1}$"):
+            solve_stationary(TransitionMatrix.from_dense(params, entries))
 
 
 def dense_audit(table, matrix):
