@@ -397,9 +397,11 @@ class TestRotationLumping:
         orbit = rotation_orbits(params.n)
         rep = sorted(set(orbit))[dead]
         entries = build_matrix(params).entries.copy()
-        for a in (a for a in range(params.n_states) if orbit[a] == rep):
-            entries[a] = Fraction(0) if params.exact else 0.0
-            entries[a, a] = Fraction(1) if params.exact else 1.0
+        zero, one = (Fraction(0), Fraction(1)) if params.exact else (0.0, 1.0)
+        for a in range(params.n_states):
+            if orbit[a] == rep:
+                entries[a] = zero
+                entries[a, a] = one
         with pytest.raises(SolveFailed, match=rf"orbit {dead} never reaches orbits 0\.\.{dead - 1}$"):
             solve_stationary(TransitionMatrix.from_dense(params, entries))
 
