@@ -10,8 +10,8 @@ of the lumped matrix in one matrix product.
 
 P is stored as compressed sparse rows: row a holds the 2**popcount(v)
 submasks of its vacancy mask v, and nothing is ever 4**n wide. Every check
-reads the one TransitionMatrix its caller built, a block of whole rows of
-about _BLOCK stored entries at a time, so each block stays in cache.
+reads the one TransitionMatrix its caller built, about _BLOCK stored entries
+(whole rows; the audit's column-major ranks) at a time, in cache.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class BalanceAudit:
 
 def _entry_rows(matrix: TransitionMatrix) -> np.ndarray:
     # the row of every stored entry, in storage order
-    return np.repeat(np.arange(matrix.params.n_states), np.diff(matrix.indptr))
+    return np.repeat(np.arange(matrix.params.n_states, dtype=np.int32), np.diff(matrix.indptr))
 
 
 def _blocks(matrix: TransitionMatrix, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -139,7 +139,7 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     if params.n > cap:
         raise BudgetExceeded(
             f"n={params.n} exceeds the {'rational' if params.exact else 'float'} cap {cap}:"
-            f" the dense matrix alone takes {8 << 2 * params.n} bytes"
+            f" its stored entries take up to {16 * 3**params.n} bytes"
         )
     dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
     p1, p2 = params.p1, params.p2
@@ -257,7 +257,8 @@ def balance_residual(table: StationaryTable, matrix: TransitionMatrix):
     pi = np.asarray(table.probs, dtype=dtype)
     inflow = np.zeros(len(pi), dtype=dtype)
     for a, at in _blocks(matrix, np.arange(len(pi))):
-        np.add.at(inflow, matrix.cols[at], matrix.vals[at].astype(dtype) * pi[a])
+        run = slice(at[0], at[-1] + 1)  # every row in order, so each block is one contiguous run
+        np.add.at(inflow, matrix.cols[run], np.asarray(matrix.vals[run], dtype=dtype) * pi[a])
     worst = np.max(np.abs(inflow - pi))
     return worst if dtype is object else float(worst)
 
@@ -266,25 +267,29 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     """Exhaustive maximization of |pi(a)P[a->b] - pi(b)P[b->a]| over ordered pairs.
 
     Only a pair with a stored entry either way can be nonzero, so the gap is
-    formed at each stored (a, b), with P[b->a] found by searching the stored
-    keys row * 2**n + column for b * 2**n + a. The gap is exactly symmetric,
-    so the witness is the smallest (min(a, b), max(a, b)) among the maxima:
-    the first maximum in row-major order over all pairs. (0^n, 0^n) when
-    every gap is zero.
+    formed at each stored (a, b) in column-major order, where the mirror keys
+    b * 2**n + a ascend like the stored keys: P[b->a] is the entry of the same
+    rank if the pattern is symmetric (m = 2), and is searched for if not. The
+    gap is exactly symmetric, so the witness is the smallest (min(a, b), max(a,
+    b)) among the maxima, the first in row-major order; (0^n, 0^n) if all are 0.
     """
     _check_consistent(table, matrix)
-    n, ns = matrix.params.n, matrix.params.n_states
-    p = matrix.vals.astype(float)
+    n, ns, indptr, cols = matrix.params.n, matrix.params.n_states, matrix.indptr, matrix.cols
+    p = np.asarray(matrix.vals, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
-    keys = _entry_rows(matrix) * ns + matrix.cols  # ascending
+    rows = _entry_rows(matrix)
+    by_col = np.argsort(cols.astype(np.uint16), kind="stable")  # a radix sort (n <= 15)
     worst, pair = 0.0, 0
-    for a, at in _blocks(matrix, np.arange(ns)):
-        b = matrix.cols[at]
-        mirror = b * ns + a
-        order = np.argsort(b, kind="stable")  # sorts mirror (a ascends in each b): a faster search
-        found = np.empty_like(at)
-        found[order] = np.minimum(np.searchsorted(keys, mirror[order]), len(keys) - 1)
-        back = np.where(keys[found] == mirror, p[found], 0.0)
+    for lo in range(0, len(cols), _BLOCK):
+        at, run = by_col[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
+        a, b = rows[at], cols[at]
+        same = (rows[run] == b) & (cols[run] == a)
+        back = np.where(same, p[run], 0.0)
+        if not same.all():  # the mirrors of columns b[0]..b[-1] are stored in rows b[0]..b[-1]
+            miss, span = np.flatnonzero(~same), slice(indptr[b[0]], indptr[b[-1] + 1])
+            found = span.start + np.searchsorted(rows[span] * ns + cols[span], b[miss] * ns + a[miss])
+            found = np.minimum(found, len(cols) - 1)
+            back[miss] = np.where((rows[found] == b[miss]) & (cols[found] == a[miss]), p[found], 0.0)
         gap = np.abs(pi[a] * p[at] - pi[b] * back)
         top = gap.max()
         if top >= worst and top > 0:

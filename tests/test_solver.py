@@ -131,6 +131,17 @@ def add_at_table(matrix, reduce):
     return tuple((mu[orbit] / sizes.astype(p.dtype)[orbit]).tolist())
 
 
+def add_at_residual(table, matrix):
+    """Reference residual: one np.add.at over every stored entry in storage order."""
+    dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
+    pi = np.asarray(table.probs, dtype=dtype)
+    inflow = np.zeros(len(pi), dtype=dtype)
+    rows = np.repeat(np.arange(len(pi)), np.diff(matrix.indptr))
+    np.add.at(inflow, matrix.cols, matrix.vals.astype(dtype) * pi[rows])
+    worst = np.max(np.abs(inflow - pi))
+    return worst if dtype is object else float(worst)
+
+
 BIT_IDENTITY_POINTS = pytest.mark.parametrize(
     "p1, p2, n_hi",
     [(0.3, 0.5, 10), (0.9, 1.0, 10), (0.05, 0.95, 10), (Fraction(1, 3), Fraction(1, 2), 7)],
@@ -139,10 +150,10 @@ BIT_IDENTITY_POINTS = pytest.mark.parametrize(
 
 
 class TestBitIdentity:
-    """The row-blocked build and the flat lump give the bits of the full-width
-    references. `ragged` sets _BLOCK to 5 * 2**n stored entries, so the build
-    fills groups of rows in several short blocks and the lump walks several
-    runs of whole rows, the last one short."""
+    """The row-blocked build, the flat lump and the residual give the bits of
+    the full-width references. `ragged` sets _BLOCK to 5 * 2**n stored entries,
+    so the build fills groups of rows in several short blocks and the lump and
+    the residual walk several runs of whole rows, the last one short."""
 
     @BIT_IDENTITY_POINTS
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -168,6 +179,17 @@ class TestBitIdentity:
             if ragged:
                 monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
             assert solve_stationary(matrix).probs == add_at_table(matrix, nedpca.solver._reduce), n
+
+    @BIT_IDENTITY_POINTS
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["default", "ragged"])
+    def test_residual_equals_add_at_reference(self, monkeypatch, ragged, m, p1, p2, n_hi):
+        for n in range(m, n_hi + 1):
+            matrix = build_matrix(ModelParams(n, m, p1, p2))
+            table = solve_stationary(matrix)
+            if ragged:
+                monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
+            assert balance_residual(table, matrix) == add_at_residual(table, matrix), n
 
     @pytest.mark.parametrize("width", [1, 5, 7, nedpca.solver._PANEL], ids=lambda w: f"panel{w}")
     @pytest.mark.parametrize(
@@ -228,7 +250,7 @@ class TestBuildAndSolve:
         with pytest.raises(BudgetExceeded) as info:
             build_matrix(ModelParams(14, 3, 0.3, 0.5))
         message = str(info.value)
-        assert "n=14" in message and "cap 13" in message and str(8 * 4**14) in message
+        assert "n=14" in message and "cap 13" in message and f"up to {16 * 3**14} bytes" in message
 
     @pytest.mark.parametrize("m, share", [(2, 0.25), (4, 0.05)])
     def test_build_makes_no_dense_array(self, m, share):
@@ -421,6 +443,38 @@ def audit_key(audit):
     return audit.max_violation, (audit.witness[0].code, audit.witness[1].code)
 
 
+def mixed_blocks(matrix, block):
+    """How many blocks of `block` column-major ranks hold both a mirror that is
+    the stored entry of the same rank and one that is not."""
+    rows = np.repeat(np.arange(matrix.params.n_states), np.diff(matrix.indptr))
+    by_col = np.lexsort((rows, matrix.cols))
+    same = (rows == matrix.cols[by_col]) & (matrix.cols == rows[by_col])
+    return sum(0 < s.sum() < len(s) for s in np.split(same, range(block, len(same), block)))
+
+
+def one_directional_matrix(n):
+    """The m = 2 matrix at (0.3, 0.5) with P[a->b] dropped at each stored a < b
+    with 5 | a + b, so P[b->a] has no stored mirror; and the table of the full one."""
+    matrix = build_matrix(ModelParams(n, 2, 0.3, 0.5))
+    entries = matrix.entries.copy()
+    a, b = np.nonzero(np.triu(entries, 1))
+    drop = (a + b) % 5 == 0
+    entries[a[drop], b[drop]] = 0.0
+    return TransitionMatrix.from_dense(matrix.params, entries), solve_stationary(matrix)
+
+
+def flipped_matrix(n):
+    """The m = 3 matrix relabelled a -> 2**n - 1 - a, through from_dense, and its table."""
+    matrix = build_matrix(ModelParams(n, 3, 0.3, 0.5))
+    flipped = TransitionMatrix.from_dense(matrix.params, matrix.entries[::-1, ::-1].copy())
+    return flipped, StationaryTable(matrix.params, solve_stationary(matrix).probs[::-1])
+
+
+def built_matrix(n, m):
+    matrix = build_matrix(ModelParams(n, m, 0.3, 0.5))
+    return matrix, solve_stationary(matrix)
+
+
 class TestBalanceAudits:
     def test_reversible_on_balanced_line(self):
         params = ModelParams(5, 2, 0.3, 0.7)
@@ -509,6 +563,36 @@ class TestBalanceAudits:
         assert audit == dense_audit(table, flipped)
         row = audit[1][0]
         assert row > 6 and row % 6 != 0, row
+
+    @pytest.mark.parametrize("block", [24, 3 << 8], ids=["block24", "rows3"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: built_matrix(8, 3),
+            lambda: built_matrix(8, 4),
+            lambda: flipped_matrix(8),
+            lambda: one_directional_matrix(8),
+        ],
+        ids=["m3", "m4", "flipped-m3", "one-directional"],
+    )
+    def test_rank_and_searched_mirrors_share_a_block(self, monkeypatch, make, block):
+        # the cuts fall inside columns, and some block reads mirrors both ways
+        matrix, table = make()
+        assert mixed_blocks(matrix, block) > 0
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", block)
+        assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(table, matrix)
+
+    def test_audit_peak_is_near_the_stored_entries(self):
+        # the densest pattern, 3**12 entries, symmetric: every mirror is read by rank
+        matrix = build_matrix(ModelParams(12, 2, 0.3, 0.5))
+        table = solve_stationary(matrix)
+        tracemalloc.start()
+        try:
+            audit_detailed_balance(table, matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * (matrix.cols.nbytes + matrix.vals.nbytes)
 
     def test_audit_holds_no_second_matrix(self):
         matrix = build_matrix(ModelParams(10, 3, 0.3, 0.5))
