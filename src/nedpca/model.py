@@ -180,7 +180,7 @@ class StationaryTable:
 # ---- Pattern statistics ----
 
 
-def pattern_totals(codes: Sequence[int], params: ModelParams) -> list[int]:
+def pattern_totals(codes: Union[Sequence[int], bytes], params: ModelParams) -> list[int]:
     """[n1, *n10r1, n0m1] summed over integer codes.
 
     n1 counts 1s. n10r1[r-1] counts occurrences of 1 0^r 1 for r = 1..m-2.
@@ -190,16 +190,20 @@ def pattern_totals(codes: Sequence[int], params: ModelParams) -> list[int]:
     field of one integer, so every cyclic window that starts at one of the n
     sites reads forward without wrapping; a right shift then moves every
     window of every code at once. Costs O(m) big-integer operations for the
-    whole list (multi-spin coding, Jacobs & Rebbi 1981).
+    whole list (multi-spin coding, Jacobs & Rebbi 1981). codes may also come
+    as bytes already laid out: (2n + 7) // 8 little-endian bytes per code.
     """
     n, m = params.n, params.m
     field = (2 * n + 7) // 8  # bytes per code
-    packed = int.from_bytes(b"".join(c.to_bytes(field, "little") for c in codes), "little")
+    if not isinstance(codes, bytes):
+        codes = b"".join(c.to_bytes(field, "little") for c in codes)
+    count = len(codes) // field
+    packed = int.from_bytes(codes, "little")
     doubled = packed | packed << n
-    zeros = ~doubled & ((1 << 8 * field * len(codes)) - 1)
+    zeros = ~doubled & ((1 << 8 * field * count) - 1)
     # zero_run holds, at bit i of each field, whether sites i+1 .. i+r are all
     # empty; starting it as each field's n window starts masks every count
-    zero_run = int.from_bytes(((1 << n) - 1).to_bytes(field, "little") * len(codes), "little")
+    zero_run = int.from_bytes(((1 << n) - 1).to_bytes(field, "little") * count, "little")
     totals = [packed.bit_count()]
     for r in range(1, m - 1):
         zero_run &= zeros >> r

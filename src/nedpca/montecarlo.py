@@ -5,22 +5,22 @@ discarded at forced sites), in site order, and test it against the same
 doubles, float(p1) and 1 - float(p2) from _thresholds, so scalar_step (the
 site-by-site reference) and the bit-parallel kernel give bit-identical
 trajectories from one seed. The latter packs a chunk's threshold comparisons
-into one int per step and threshold (one numpy call per chunk when n <= 64)
-and updates all sites from the doubled code c | c << n with a few integer
-operations and no function call; _advance alone steps either kernel.
+into one int per step and threshold and updates all sites from the doubled
+code c | c << n with a few integer operations and no function call. Chains
+whose codes fit one 64-bit word step as one integer, chain j in the field of
+(2n + 7) // 8 bytes at field j (multi-spin coding across samples, Jacobs &
+Rebbi 1981); _advance alone steps such a group, or one chain, with either kernel.
 
-Per-chain streams come from numpy's SeedSequence.spawn, so chains never share
-a stream. Each chain draws its uniforms in chunks of at most _CHUNK_DOUBLES
-doubles (1 MiB), whatever the ring size, and frees each chunk before drawing
-the next; Philox hands out its doubles in order whatever the chunk shape, so
-chunking cannot change a draw. Each chain runs on its own worker thread, up to
-the usable cores; the Philox fill and np.packbits release the GIL. Each chain
-keeps one integer table with a row per batch of retained samples, [samples,
-n1, *n10r1, n0m1], filled by one pattern_totals call per batch segment of a
-chunk; the density mean, its batch-means stderr and the pattern means are all
-read off the chains' rows. All accumulators are integers until the final
-division, so a fixed plan gives the same summary whatever the kernel, worker
-count and chunking. The one field outside that guarantee is steps_per_second.
+Each chain draws from its own stream (numpy's SeedSequence.spawn) in chunks of
+at most _CHUNK_DOUBLES doubles (1 MiB), and frees each chunk before drawing the
+next; Philox hands out its doubles in order whatever the chunk shape. Each
+group runs on a worker thread, up to the usable cores; the Philox fill and
+np.packbits release the GIL. Each chain keeps one integer table with a row per
+batch of retained samples, [samples, n1, *n10r1, n0m1], filled by one
+pattern_totals call per batch segment of a chunk; the summary is read off the
+chains' rows. All accumulators are integers until the final division, so a
+fixed plan gives the same summary whatever the kernel, grouping, worker count
+and chunking. The one field outside that guarantee is steps_per_second.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class SimulationPlan:
     automatically for state spaces up to HISTOGRAM_AUTO_LIMIT.
 
     The plan fixes the summary, not how it is computed: run() picks the chunk
-    size and runs one worker per chain, up to the usable cores.
+    size and the chain groups, and runs a worker per group, up to the usable cores.
     """
 
     params: ModelParams
@@ -167,16 +167,17 @@ class EmpiricalSummary:
         }
 
 
-def _row_words(bits: np.ndarray) -> list[int]:
-    """One int per row of a boolean (rows, n) array; bit i of word t is bits[t, i]."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    rows, width = packed.shape
-    if width <= 8:  # a row fits one machine word: convert the whole chunk at once
-        words = np.zeros((rows, 8), dtype=np.uint8)
-        words[:, :width] = packed
+def _row_words(bits: Sequence[np.ndarray], field: int) -> list[int]:
+    """One int per row t of a group's boolean arrays; bits[j][t, i] is bit i from byte field * j."""
+    packed = [np.packbits(b, axis=1, bitorder="little") for b in bits]
+    rows, width = packed[0].shape
+    words = np.zeros((rows, max(8, field * (len(packed) - 1) + width)), dtype=np.uint8)
+    for j, chain in enumerate(packed):
+        words[:, field * j : field * j + width] = chain
+    if words.shape[1] == 8:  # a row fits one machine word: convert the whole chunk at once
         return words.view("<u8").ravel().tolist()
-    data = packed.tobytes()
-    return [int.from_bytes(data[lo : lo + width], "little") for lo in range(0, len(data), width)]
+    data, stride = words.tobytes(), words.shape[1]
+    return [int.from_bytes(data[lo : lo + stride], "little") for lo in range(0, len(data), stride)]
 
 
 def _thresholds(params: ModelParams) -> tuple[float, float]:
@@ -211,21 +212,26 @@ def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
     return new
 
 
-def _advance(code: int, params: ModelParams, u: np.ndarray, kernel: str) -> list[int]:
-    """Step once per row of u from code; return the code after every step."""
+def _advance(code: int, params: ModelParams, u, kernel: str) -> list[int]:
+    """Step once per row of u from code; return the code after every step. u is
+    one (rows, n) array or a group's list of them, chain j in field j of code."""
+    chunks = [u] if isinstance(u, np.ndarray) else u
+    n, m = params.n, params.m
+    field = (2 * n + 7) // 8
     trajectory = []
     if kernel == "scalar":
-        for row in u:
-            code = scalar_step(code, params, row)
-            trajectory.append(code)
+        shifts = range(0, 8 * field * len(chunks), 8 * field)
+        codes = [code >> s for s in shifts]  # scalar_step reads only bits 0..n-1
+        for rows in zip(*chunks):
+            codes = [scalar_step(c, params, row) for c, row in zip(codes, rows)]
+            trajectory.append(sum(c << s for c, s in zip(codes, shifts)))
         return trajectory
     # window_masks inline: bit i of doubled >> t is bit (i + t) mod n of code, so
     # ~occupied & ~closing marks the open vacancies and ~occupied & closing the
-    # blocked ones; b1, b2 have no bit at or above n, so no mask is needed
-    n, m = params.n, params.m
+    # blocked ones. A field holds 8F >= 2n bits, so each window reads its own
+    # chain; b1, b2 have bits only in each field's low n, so no mask is needed
     inner = range(1, m - 1)
-    x1, x2 = _thresholds(params)
-    for b1, b2 in zip(_row_words(u < x1), _row_words(u < x2)):
+    for b1, b2 in zip(*(_row_words([c < x for c in chunks], field) for x in _thresholds(params))):
         doubled = code | code << n
         occupied = code
         for t in inner:
@@ -242,47 +248,60 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _run_chain(
-    plan: SimulationPlan, trace: Optional[TextIO], child_seed, stop: threading.Event
+def _group_size(n: int) -> int:
+    # chains whose codes, one field of (2n + 7) // 8 bytes each, fit one 64-bit word
+    return 1 + max(0, 64 - n) // (8 * ((2 * n + 7) // 8))
+
+
+def _run_group(
+    plan: SimulationPlan, trace: Optional[TextIO], seeds: Sequence, stop: threading.Event
 ) -> tuple[list, Optional[np.ndarray]]:
-    """One chain's per-batch table, one row [samples, *pattern_totals] per
-    batch, and histogram; its first TRACE_CAP retained codes go to trace."""
+    """Each chain's per-batch table, one row [samples, *pattern_totals] per batch, and
+    the group's histogram; its first chain's first TRACE_CAP retained codes go to trace."""
     params = plan.params
     n = params.n
-    rng = np.random.Generator(np.random.Philox(child_seed))
+    field, mask = (2 * n + 7) // 8, params.n_states - 1
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
     rows = max(1, _CHUNK_DOUBLES // n)
     hist = np.zeros(params.n_states, dtype=np.int64) if plan.histogram_enabled else None
-    table = [[0] * (params.m + 1) for _ in range(_NUM_BATCHES)]
+    tables = [[[0] * (params.m + 1) for _ in range(_NUM_BATCHES)] for _ in seeds]
 
     total_steps = plan.burn_in + plan.samples * plan.thin
     first = plan.burn_in + plan.thin - 1  # the first retained step
-    code = plan.start_code
-    done = 0
-    retained = 0
-    # the stop flag lets run() abandon this chain between chunks
+    code = sum(plan.start_code << 8 * field * j for j in range(len(seeds)))
+    done = retained = 0
+    # the stop flag lets run() abandon this group between chunks
     while done < total_steps and not stop.is_set():
-        u = rng.random((min(rows, total_steps - done), n))
+        u = [rng.random((min(rows, total_steps - done), n)) for rng in rngs]
         trajectory = _advance(code, params, u, plan.kernel)
         code = trajectory[-1]
         kept = trajectory[max(first - done, (first - done) % plan.thin) :: plan.thin]
         done += len(trajectory)
         if trace is not None and retained < TRACE_CAP:
             trace.writelines(
-                Configuration(c, n).to_string() + "\n" for c in kept[: TRACE_CAP - retained]
+                Configuration(c & mask, n).to_string() + "\n" for c in kept[: TRACE_CAP - retained]
             )
+        if n <= 64:  # the group's codes fit one word: every field's bytes from one array
+            words = np.array(kept, dtype="<u8")
+            lanes = np.pad(words.view(np.uint8).reshape(-1, 8), ((0, 0), (0, field)))
+        else:  # a group of one chain wider than a word
+            data = b"".join(c.to_bytes(field, "little") for c in kept)
+            lanes = np.frombuffer(data, dtype=np.uint8).reshape(-1, field)
         i = 0
         while i < len(kept):
             # sample j falls in batch j * _NUM_BATCHES // samples; end starts the next batch
             b = (retained + i) * _NUM_BATCHES // plan.samples
             end = min(len(kept), -(-(b + 1) * plan.samples // _NUM_BATCHES) - retained)
-            counts = [end - i, *pattern_totals(kept[i:end], params)]
-            table[b] = [x + y for x, y in zip(table[b], counts)]
+            for j, table in enumerate(tables):
+                counts = pattern_totals(lanes[i:end, field * j : field * (j + 1)].tobytes(), params)
+                table[b] = [x + y for x, y in zip(table[b], [end - i, *counts])]
             i = end
         retained += len(kept)
         if hist is not None:
-            hist += np.bincount(np.asarray(kept, dtype=np.int64), minlength=params.n_states)
-        del u, trajectory, kept  # free this chunk before the next one is drawn
-    return table, hist
+            codes = np.concatenate([words >> 8 * field * j & mask for j in range(len(seeds))])
+            hist += np.bincount(codes.astype(np.int64), minlength=mask + 1)
+        del u, trajectory, kept, lanes  # free this chunk before the next one is drawn
+    return tables, hist
 
 
 def run(plan: SimulationPlan) -> EmpiricalSummary:
@@ -290,12 +309,14 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     params = plan.params
     n = params.n
     children = np.random.SeedSequence(plan.seed).spawn(plan.chains)
-    workers = min(plan.chains, _usable_cores())
+    g = _group_size(n)
+    groups = [children[lo : lo + g] for lo in range(0, plan.chains, g)]
+    workers = min(len(groups), _usable_cores())
     stop = threading.Event()
 
-    def chain(i: int, child) -> tuple[list, Optional[np.ndarray]]:
+    def group(i: int, seeds) -> tuple[list, Optional[np.ndarray]]:
         try:
-            return _run_chain(plan, trace_file if i == 0 else None, child, stop)
+            return _run_group(plan, trace_file if i == 0 else None, seeds, stop)
         except BaseException:
             stop.set()
             raise
@@ -305,10 +326,10 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     trace_file = open(plan.trace_path, "w") if plan.trace_path else None
     t0 = time.perf_counter()
     # leaving the pool joins its workers, so a failure or an interrupt must
-    # stop the other chains first
+    # stop the other groups first
     with trace_file or contextlib.nullcontext(), ThreadPoolExecutor(max_workers=workers) as pool:
         try:
-            results = list(pool.map(chain, range(plan.chains), children))
+            results = list(pool.map(group, range(len(groups)), groups))
         except BaseException:
             stop.set()
             raise
@@ -319,7 +340,7 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     total_samples = plan.samples * plan.chains
     denom = total_samples * n
     nan = float("nan")
-    rows = [row for table, _ in results for row in table]
+    rows = [row for tables, _ in results for table in tables for row in table]
     means = [sum(col) / denom if denom else nan for col in list(zip(*rows))[1:]]
     pattern_means = {"n1": means[0], "n10r1": tuple(means[1:-1]), "n0m1": means[-1]}
     batch_means = [ones / (size * n) for size, ones, *_ in rows if size]

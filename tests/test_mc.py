@@ -150,6 +150,32 @@ class TestChunkAgreement:
             fast = montecarlo._advance(start, params, u, "bitparallel")
             assert fast == montecarlo._advance(start, params, u, "scalar")
 
+    @pytest.mark.parametrize("kernel", ["bitparallel", "scalar"])
+    @pytest.mark.parametrize("n", [4, 8, 12, 20])
+    def test_group_steps_each_chain_as_alone(self, n, kernel):
+        # chain j's code sits in field j of the group's integer, width bits
+        # from bit width * j, and nothing lands outside its low n bits
+        params = ModelParams(n, 3, 0.3, 0.5)
+        g, width = montecarlo._group_size(n), 8 * ((2 * n + 7) // 8)
+        rng = np.random.default_rng(n)
+        chunks = [rng.random((64, n)) for _ in range(g)]
+        starts = [0, params.n_states - 1, *(int(c) for c in rng.integers(params.n_states, size=g - 2))]
+        group = montecarlo._advance(
+            sum(c << width * j for j, c in enumerate(starts)), params, chunks, kernel
+        )
+        alone = [montecarlo._advance(c, params, u, kernel) for c, u in zip(starts, chunks)]
+        assert group == [sum(c << width * j for j, c in enumerate(codes)) for codes in zip(*alone)]
+
+    def test_group_size_fills_one_word(self):
+        sizes = {n: montecarlo._group_size(n) for n in range(2, 130)}
+        assert [sizes[n] for n in (2, 4, 5, 8, 9, 12, 13, 20, 21, 64, 65)] == [
+            8, 8, 4, 4, 3, 3, 2, 2, 1, 1, 1
+        ]
+        for n, g in sizes.items():
+            width = 8 * ((2 * n + 7) // 8)
+            # the last chain's code ends by bit 64, and one more chain's would not
+            assert n > 64 or width * (g - 1) + n <= 64 < width * g + n
+
     @pytest.mark.parametrize("n", [64, 65])
     def test_run_kernels_agree_at_the_word_boundary(self, n):
         plan = SimulationPlan(
@@ -183,18 +209,48 @@ class TestRunDeterminism:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
+        # at n = 6 a group holds 4 chains, so 5 chains make two groups
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
-        a = summary_payload(make_plan(chains=3))
+        a = summary_payload(make_plan(chains=5))
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
         try:
-            b = summary_payload(make_plan(chains=3))
+            b = summary_payload(make_plan(chains=5))
         finally:
             sys.setswitchinterval(interval)
-        assert pools == [1, 3]
+        assert pools == [1, 2]
         assert a == b
+
+    GROUPING_CASES = [
+        (n, chains, kernel, histogram)
+        for n in (2, 4, 6, 12, 16, 20, 21, 64, 65)
+        for chains in (1, 3, 5, 9)
+        for kernel in ("bitparallel", "scalar")
+        for histogram in ((True, False) if n <= 16 else (False,))
+    ] + [(20, 3, "bitparallel", True)]  # one 2^20-state histogram: each pass over it costs
+
+    @pytest.mark.parametrize("n, chains, kernel, histogram", GROUPING_CASES)
+    def test_grouping_invisible(self, monkeypatch, tmp_path, n, chains, kernel, histogram):
+        # the derived groups, ragged last ones included, against one chain per
+        # group; burn-in and thinning straddle the edges of 1- and 4-row chunks
+        derived = montecarlo._group_size
+        plan = make_plan(
+            params=ModelParams(n, min(n, 3), 0.3, 0.5), chains=chains, samples=40, burn_in=7,
+            thin=3, kernel=kernel, histogram=histogram, start="ones" if chains % 3 == 0 else 0,
+        )
+        for doubles in (1, 4 * n):
+            monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", doubles)
+            payloads, traces = [], []
+            for size in (derived, lambda n: 1):
+                monkeypatch.setattr(montecarlo, "_group_size", size)
+                path = tmp_path / f"{len(traces)}.txt"
+                payload = summary_payload(dataclasses.replace(plan, trace_path=str(path)))
+                payloads.append(json.dumps(payload))
+                traces.append(path.read_bytes())
+            assert payloads[0] == payloads[1]
+            assert traces[0] == traces[1]
 
     def test_usable_cores_without_affinity(self, monkeypatch):
         # platforms without sched_getaffinity fall back on the CPU count, or 1
@@ -226,8 +282,9 @@ class TestRunDeterminism:
 class TestStopFlag:
     def test_failing_chain_stops_the_others(self, monkeypatch):
         # chain 1 fails on its third chunk; chain 0 would otherwise step
-        # thousands more, but may finish at most the chunk it is in
-        plan = make_plan(chains=2, samples=200_000, burn_in=0)
+        # thousands more, but may finish at most the chunk it is in. At n = 24
+        # each group holds one chain, so the two run on separate workers
+        plan = make_plan(params=ModelParams(24, 3, 0.3, 0.5), chains=2, samples=200_000, burn_in=0)
         first_draw = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(plan.seed).spawn(2)[1])
         ).random()
@@ -239,7 +296,7 @@ class TestStopFlag:
 
         def flaky_advance(code, params, u, kernel):
             me = threading.get_ident()
-            if u[0, 0] == first_draw:
+            if u[0][0, 0] == first_draw:
                 state["chain1"] = me
             if me == state["chain1"]:
                 state["chain1_calls"] += 1
