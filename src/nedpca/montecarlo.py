@@ -212,7 +212,7 @@ def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
     return new
 
 
-def _advance(code: int, params: ModelParams, u, kernel: str) -> list[int]:
+def _advance(code: int, params: ModelParams, u: Union[np.ndarray, list], kernel: str) -> list[int]:
     """Step once per row of u from code; return the code after every step. u is
     one (rows, n) array or a group's list of them, chain j in field j of code."""
     chunks = [u] if isinstance(u, np.ndarray) else u
@@ -221,10 +221,9 @@ def _advance(code: int, params: ModelParams, u, kernel: str) -> list[int]:
     trajectory = []
     if kernel == "scalar":
         shifts = range(0, 8 * field * len(chunks), 8 * field)
-        codes = [code >> s for s in shifts]  # scalar_step reads only bits 0..n-1
-        for rows in zip(*chunks):
-            codes = [scalar_step(c, params, row) for c, row in zip(codes, rows)]
-            trajectory.append(sum(c << s for c, s in zip(codes, shifts)))
+        for rows in zip(*chunks):  # scalar_step reads only the low n bits of code >> s
+            code = sum(scalar_step(code >> s, params, row) << s for s, row in zip(shifts, rows))
+            trajectory.append(code)
         return trajectory
     # window_masks inline: bit i of doubled >> t is bit (i + t) mod n of code, so
     # ~occupied & ~closing marks the open vacancies and ~occupied & closing the
@@ -283,7 +282,8 @@ def _run_group(
             )
         if n <= 64:  # the group's codes fit one word: every field's bytes from one array
             words = np.array(kept, dtype="<u8")
-            lanes = np.pad(words.view(np.uint8).reshape(-1, 8), ((0, 0), (0, field)))
+            lanes = np.zeros((len(kept), 8 + field), dtype=np.uint8)
+            lanes[:, :8] = words.view(np.uint8).reshape(-1, 8)
         else:  # a group of one chain wider than a word
             data = b"".join(c.to_bytes(field, "little") for c in kept)
             lanes = np.frombuffer(data, dtype=np.uint8).reshape(-1, field)
@@ -298,8 +298,8 @@ def _run_group(
             i = end
         retained += len(kept)
         if hist is not None:
-            codes = np.concatenate([words >> 8 * field * j & mask for j in range(len(seeds))])
-            hist += np.bincount(codes.astype(np.int64), minlength=mask + 1)
+            for shift in range(0, 8 * field * len(seeds), 8 * field):  # a masked field fits int64
+                hist += np.bincount((words >> shift & mask).view("<i8"), minlength=len(hist))
         del u, trajectory, kept, lanes  # free this chunk before the next one is drawn
     return tables, hist
 
