@@ -222,6 +222,10 @@ class TestPatternTotals:
                 expected = [a + b for a, b in zip(expected, (n1, *inner, blocked))]
             assert pattern_totals(codes, params) == expected
             assert pattern_totals([], params) == [0] * m
+            field = (2 * n + 7) // 8  # the same codes as bytes already laid out
+            laid_out = b"".join(code.to_bytes(field, "little") for code in codes)
+            assert pattern_totals(laid_out, params) == expected
+            assert pattern_totals(b"", params) == [0] * m
 
 
 def test_stationary_table_rejects_wrong_length():
