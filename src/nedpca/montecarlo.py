@@ -4,23 +4,21 @@ Both kernels consume exactly one uniform per site per step (the draw is
 discarded at forced sites), in site order, and test it against the same
 doubles, float(p1) and 1 - float(p2) from _thresholds, so scalar_step (the
 site-by-site reference) and the bit-parallel kernel give bit-identical
-trajectories from one seed. The latter packs a chunk's threshold comparisons
-into one int per step and threshold and updates all sites from the doubled
-code c | c << n with a few integer operations and no function call. Chains
-whose codes fit one 64-bit word step as one integer, chain j in the field of
-(2n + 7) // 8 bytes at field j (multi-spin coding across samples, Jacobs &
-Rebbi 1981); _advance alone steps such a group, or one chain, with either kernel.
+trajectories from one seed. The latter packs a chunk's comparisons in one flat
+pass into two ints per step, b1 = u < p1 and d = b1 ^ (u < 1 - p2), and updates
+all sites from the doubled code c | c << n with a few integer operations and no
+function call. Chains whose codes fit one 64-bit word step as one integer, chain
+j in the field of (2n + 7) // 8 bytes at field j (multi-spin coding across
+samples, Jacobs & Rebbi 1981); _advance alone steps such a group, or one chain.
 
-Each chain draws from its own stream (numpy's SeedSequence.spawn) in chunks of
-at most _CHUNK_DOUBLES doubles (1 MiB), and frees each chunk before drawing the
-next; Philox hands out its doubles in order whatever the chunk shape. Each
-group runs on a worker thread, up to the usable cores; the Philox fill and
-np.packbits release the GIL. Each chain keeps one integer table with a row per
-batch of retained samples, [samples, n1, *n10r1, n0m1], filled by one
-pattern_totals call per batch segment of a chunk; the summary is read off the
-chains' rows. All accumulators are integers until the final division, so a
-fixed plan gives the same summary whatever the kernel, grouping, worker count
-and chunking. The one field outside that guarantee is steps_per_second.
+Each chain reads its own stream (numpy's SeedSequence.spawn) in order, in chunks
+of at most _CHUNK_DOUBLES doubles (1 MiB), freed once packed. Each group runs on a
+worker thread; only when the groups leave a usable core idle does a worker draw a
+group's next chunk while it steps, so a 1-chain plan may use two threads (the
+Philox fill and np.packbits release the GIL). Each chain keeps an integer table,
+one row [samples, n1, *n10r1, n0m1] per batch of retained samples. Integers until
+the final division make a plan's summary the same whatever the kernel, grouping,
+workers, prefetch and chunking; steps_per_second alone is outside that guarantee.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ class SimulationPlan:
     automatically for state spaces up to HISTOGRAM_AUTO_LIMIT.
 
     The plan fixes the summary, not how it is computed: run() picks the chunk
-    size and the chain groups, and runs a worker per group, up to the usable cores.
+    size and the chain groups, and sizes its worker pool to the usable cores.
     """
 
     params: ModelParams
@@ -167,19 +165,6 @@ class EmpiricalSummary:
         }
 
 
-def _row_words(bits: Sequence[np.ndarray], field: int) -> list[int]:
-    """One int per row t of a group's boolean arrays; bits[j][t, i] is bit i from byte field * j."""
-    packed = [np.packbits(b, axis=1, bitorder="little") for b in bits]
-    rows, width = packed[0].shape
-    words = np.zeros((rows, max(8, field * (len(packed) - 1) + width)), dtype=np.uint8)
-    for j, chain in enumerate(packed):
-        words[:, field * j : field * j + width] = chain
-    if words.shape[1] == 8:  # a row fits one machine word: convert the whole chunk at once
-        return words.view("<u8").ravel().tolist()
-    data, stride = words.tobytes(), words.shape[1]
-    return [int.from_bytes(data[lo : lo + stride], "little") for lo in range(0, len(data), stride)]
-
-
 def _thresholds(params: ModelParams) -> tuple[float, float]:
     # the doubles every kernel tests a uniform against, whatever the number type
     return float(params.p1), 1.0 - float(params.p2)
@@ -212,33 +197,61 @@ def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
     return new
 
 
-def _advance(code: int, params: ModelParams, u: Union[np.ndarray, list], kernel: str) -> list[int]:
-    """Step once per row of u from code; return the code after every step. u is
-    one (rows, n) array or a group's list of them, chain j in field j of code."""
-    chunks = [u] if isinstance(u, np.ndarray) else u
-    n, m = params.n, params.m
-    field = (2 * n + 7) // 8
+def _pack(params: ModelParams, chunks: Sequence[np.ndarray], kernel: str) -> tuple:
+    """What _walk steps a group's (rows, n) chunks from: the doubles, or the rows' words
+    b1 = u < p1 and d = b1 ^ (u < 1 - p2), chain j's site i at bit 8 * field * j + i."""
+    if kernel == "scalar":
+        return tuple(chunks)
+    n, field = params.n, (2 * params.n + 7) // 8
+    width = max(8, field * (len(chunks) - 1) + (n + 7) // 8)  # bytes per row
+    bits = np.zeros((len(chunks[0]), 8 * width), dtype=bool)
+    words = []
+    for x in _thresholds(params):
+        for j, c in enumerate(chunks):
+            np.less(c, x, out=bits[:, 8 * field * j : 8 * field * j + n])
+        words.append(np.packbits(bits, bitorder="little"))
+    words[1] ^= words[0]
+    if width == 8:  # a row fits one machine word: convert the whole chunk at once
+        return tuple(w.view("<u8").tolist() for w in words)
+    return tuple(
+        [int.from_bytes(data[lo : lo + width], "little") for lo in range(0, len(data), width)]
+        for data in (w.tobytes() for w in words)
+    )
+
+
+def _walk(code: int, params: ModelParams, packed: tuple, kernel: str) -> list[int]:
+    """Step once per row of packed from code; return the code after every step."""
+    n, m, field = params.n, params.m, (2 * params.n + 7) // 8
     trajectory = []
     if kernel == "scalar":
-        shifts = range(0, 8 * field * len(chunks), 8 * field)
-        for rows in zip(*chunks):  # scalar_step reads only the low n bits of code >> s
+        shifts = range(0, 8 * field * len(packed), 8 * field)
+        for rows in zip(*packed):  # scalar_step reads only the low n bits of code >> s
             code = sum(scalar_step(code >> s, params, row) << s for s, row in zip(shifts, rows))
             trajectory.append(code)
         return trajectory
     # window_masks inline: bit i of doubled >> t is bit (i + t) mod n of code, so
     # ~occupied & ~closing marks the open vacancies and ~occupied & closing the
-    # blocked ones. A field holds 8F >= 2n bits, so each window reads its own
-    # chain; b1, b2 have bits only in each field's low n, so no mask is needed
+    # blocked ones, where b1 ^ d = u < 1 - p2. A field holds 8F >= 2n bits, so each
+    # window reads its own chain; b1, d have bits only in each field's low n
     inner = range(1, m - 1)
-    for b1, b2 in zip(*(_row_words([c < x for c in chunks], field) for x in _thresholds(params))):
+    for b1, d in zip(*packed):
         doubled = code | code << n
         occupied = code
         for t in inner:
             occupied |= doubled >> t
-        closing = doubled >> (m - 1)
-        code = ~occupied & ((b1 & ~closing) | (b2 & closing))
+        code = ~occupied & (b1 ^ (d & doubled >> (m - 1)))
         trajectory.append(code)
     return trajectory
+
+
+def _advance(code: int, params: ModelParams, u: Union[np.ndarray, list], kernel: str) -> list[int]:
+    """Step once per row of u from code; return the code after every step. u is
+    one (rows, n) array or a group's list of them, chain j in field j of code."""
+    return _walk(code, params, _pack(params, [u] if isinstance(u, np.ndarray) else u, kernel), kernel)
+
+
+def _draw(rngs: Sequence[np.random.Generator], rows: int, n: int) -> list[np.ndarray]:
+    return [rng.random((rows, n)) for rng in rngs]
 
 
 def _usable_cores() -> int:
@@ -253,10 +266,11 @@ def _group_size(n: int) -> int:
 
 
 def _run_group(
-    plan: SimulationPlan, trace: Optional[TextIO], seeds: Sequence, stop: threading.Event
+    plan: SimulationPlan, trace: Optional[TextIO], seeds: Sequence, stop: threading.Event,
+    pool: Optional[ThreadPoolExecutor],
 ) -> tuple[list, Optional[np.ndarray]]:
-    """Each chain's per-batch table, one row [samples, *pattern_totals] per batch, and
-    the group's histogram; its first chain's first TRACE_CAP retained codes go to trace."""
+    """Each chain's per-batch table, one row [samples, *pattern_totals] per batch, and the group's
+    histogram; its first chain's first TRACE_CAP retained codes go to trace. A pool draws ahead."""
     params = plan.params
     n = params.n
     field, mask = (2 * n + 7) // 8, params.n_states - 1
@@ -268,11 +282,16 @@ def _run_group(
     total_steps = plan.burn_in + plan.samples * plan.thin
     first = plan.burn_in + plan.thin - 1  # the first retained step
     code = sum(plan.start_code << 8 * field * j for j in range(len(seeds)))
-    done = retained = 0
+    done, retained, ahead = 0, 0, None
     # the stop flag lets run() abandon this group between chunks
     while done < total_steps and not stop.is_set():
-        u = [rng.random((min(rows, total_steps - done), n)) for rng in rngs]
-        trajectory = _advance(code, params, u, plan.kernel)
+        # a draw the pool has not started is made here instead: each stream is read in order
+        size, later = min(rows, total_steps - done), max(0, total_steps - done - rows)
+        u = _draw(rngs, size, n) if ahead is None or ahead.cancel() else ahead.result()
+        packed = _pack(params, u, plan.kernel)
+        del u  # the bit-parallel kernel steps from the packed words alone
+        ahead = pool.submit(_draw, rngs, min(rows, later), n) if pool and later else None
+        trajectory = _walk(code, params, packed, plan.kernel)
         code = trajectory[-1]
         kept = trajectory[max(first - done, (first - done) % plan.thin) :: plan.thin]
         done += len(trajectory)
@@ -297,10 +316,10 @@ def _run_group(
                 table[b] = [x + y for x, y in zip(table[b], [end - i, *counts])]
             i = end
         retained += len(kept)
-        if hist is not None:
-            for shift in range(0, 8 * field * len(seeds), 8 * field):  # a masked field fits int64
-                hist += np.bincount((words >> shift & mask).view("<i8"), minlength=len(hist))
-        del u, trajectory, kept, lanes  # free this chunk before the next one is drawn
+        if hist is not None:  # a chunk touches few of up to 2^20 states, so no bincount
+            for shift in range(0, 8 * field * len(seeds), 8 * field):
+                np.add.at(hist, words >> shift & mask, 1)
+        del packed, trajectory, kept, lanes  # free this chunk before the next one is packed
     return tables, hist
 
 
@@ -311,12 +330,13 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     children = np.random.SeedSequence(plan.seed).spawn(plan.chains)
     g = _group_size(n)
     groups = [children[lo : lo + g] for lo in range(0, plan.chains, g)]
-    workers = min(len(groups), _usable_cores())
+    workers = _usable_cores()
     stop = threading.Event()
 
     def group(i: int, seeds) -> tuple[list, Optional[np.ndarray]]:
-        try:
-            return _run_group(plan, trace_file if i == 0 else None, seeds, stop)
+        try:  # workers the groups leave idle draw each group's next chunk
+            spare = pool if len(groups) < workers else None
+            return _run_group(plan, trace_file if i == 0 else None, seeds, stop, spare)
         except BaseException:
             stop.set()
             raise
@@ -356,7 +376,7 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
         density_mean=means[0],
         density_stderr=density_stderr,
         pattern_means=pattern_means,
-        histogram=None if hist is None else tuple(int(x) for x in hist),
+        histogram=None if hist is None else tuple(hist.tolist()),
         steps_per_second=steps_per_second,
     )
 
@@ -383,7 +403,7 @@ def tv_distance(summary: EmpiricalSummary, table: StationaryTable) -> float:
 def kernel_throughput(
     params: ModelParams, kernel: str, steps: int, seed: int = 0
 ) -> float:
-    """Steps per second of one chain that retains no samples: burn-in only."""
+    """Steps per second of one chain retaining no samples; a second core, if any, draws ahead."""
     if steps < 1:
         raise ParamError(f"need steps >= 1, got {steps}")
     plan = SimulationPlan(params, seed, samples=0, burn_in=steps, kernel=kernel, histogram=False)

@@ -563,9 +563,9 @@ class TestConfigAndErrors:
 
     def test_unwritable_trace_refused_before_sampling(self, capsys, monkeypatch, tmp_path):
         def refuse(*args):
-            raise AssertionError("a chain stepped before the trace path was checked")
+            raise AssertionError("a chain drew before the trace path was checked")
 
-        monkeypatch.setattr(nedpca.montecarlo, "_advance", refuse)
+        monkeypatch.setattr(nedpca.montecarlo, "_draw", refuse)
         target = tmp_path / "absent" / "trace.txt"
         code, out, err = run_cli(
             capsys, "simulate", "-n", "6", "-m", "3", "--p1", "0.3", "--p2", "0.5",

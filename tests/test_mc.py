@@ -1,6 +1,7 @@
 """Monte Carlo plumbing: plans, kernels, determinism, merged estimates."""
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -48,6 +49,20 @@ def summary_payload(plan):
 
 def bitparallel_step(code, params, u):
     return montecarlo._advance(code, params, u.reshape(1, params.n), "bitparallel")[0]
+
+
+def row_words(bits, field):
+    """Reference packer: one int per row t of a group's boolean arrays, chain by
+    chain with packbits(axis=1); bits[j][t, i] is bit i from byte field * j."""
+    packed = [np.packbits(b, axis=1, bitorder="little") for b in bits]
+    rows, width = packed[0].shape
+    words = np.zeros((rows, max(8, field * (len(packed) - 1) + width)), dtype=np.uint8)
+    for j, chain in enumerate(packed):
+        words[:, field * j : field * j + width] = chain
+    if words.shape[1] == 8:  # a row fits one machine word: convert the whole chunk at once
+        return words.view("<u8").ravel().tolist()
+    data, stride = words.tobytes(), words.shape[1]
+    return [int.from_bytes(data[lo : lo + stride], "little") for lo in range(0, len(data), stride)]
 
 
 class TestPlanValidation:
@@ -166,6 +181,21 @@ class TestChunkAgreement:
         alone = [montecarlo._advance(c, params, u, kernel) for c, u in zip(starts, chunks)]
         assert group == [sum(c << width * j for j, c in enumerate(codes)) for codes in zip(*alone)]
 
+    @pytest.mark.parametrize("chains", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 12, 20, 63, 64, 65, 128])
+    def test_flat_packing_matches_the_reference(self, n, chains):
+        # b1 and b1 ^ d from one flat packbits equal the per-chain reference
+        # words of u < p1 and u < 1 - p2, rows one word wide and wider alike
+        params = ModelParams(n, 3, 0.3, 0.5)
+        rng = np.random.default_rng(n * 10 + chains)
+        chunks = [rng.random((9, n)) for _ in range(chains)]
+        chunks[0][::2, ::3] = 0.3  # a uniform equal to a threshold fails its test
+        chunks[-1][1::2, 1::3] = 0.5
+        field = (2 * n + 7) // 8
+        b1, d = montecarlo._pack(params, chunks, "bitparallel")
+        assert b1 == row_words([c < 0.3 for c in chunks], field)
+        assert [x ^ y for x, y in zip(b1, d)] == row_words([c < 0.5 for c in chunks], field)
+
     def test_group_size_fills_one_word(self):
         sizes = {n: montecarlo._group_size(n) for n in range(2, 130)}
         assert [sizes[n] for n in (2, 4, 5, 8, 9, 12, 13, 20, 21, 64, 65)] == [
@@ -201,27 +231,58 @@ class TestRunDeterminism:
         assert a.density_mean == b.density_mean
         assert a.density_stderr == b.density_stderr
 
-    def test_worker_count_invisible(self, monkeypatch):
-        pools = []
+    def test_worker_count_invisible(self, monkeypatch, tmp_path):
+        # one worker, a worker per group, and eight: only the last leaves workers
+        # idle, and they draw each group's next chunk while it steps (at n = 6 a
+        # group holds 4 chains, so 5 chains make two groups; at n = 12 it holds 3).
+        # Burn-in and thinning straddle the edges of 1- and 4-row chunks
+        pools, drawn = [], []
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        # at n = 6 a group holds 4 chains, so 5 chains make two groups
+            def submit(self, fn, *args):
+                if fn is not montecarlo._draw:
+                    return super().submit(fn, *args)
+
+                def draw(*args):  # counts the prefetches the pool ran, not those taken back
+                    drawn.append(threading.get_ident())
+                    return fn(*args)
+
+                return super().submit(draw, *args)
+
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 1)
-        a = summary_payload(make_plan(chains=5))
-        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
-        try:
-            b = summary_payload(make_plan(chains=5))
-        finally:
-            sys.setswitchinterval(interval)
-        assert pools == [1, 2]
-        assert a == b
+        for (n, chains), kernel in itertools.product(
+            [(6, 5), (12, 1), (12, 2), (70, 1), (70, 2)], ["bitparallel", "scalar"]
+        ):
+            plan = make_plan(
+                params=ModelParams(n, 3, 0.3, 0.5), chains=chains, samples=40, burn_in=7,
+                thin=3, kernel=kernel, start="ones",
+            )
+            groups = -(-chains // montecarlo._group_size(n))
+            for doubles in (n, 4 * n):
+                monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", doubles)
+                payloads, traces = [], []
+                for cores in (1, groups, 8):
+                    monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+                    path = tmp_path / f"{n}-{chains}-{kernel}-{doubles}-{cores}.txt"
+                    pools.clear()
+                    interval = sys.getswitchinterval()
+                    sys.setswitchinterval(1e-6)  # interleave the workers as finely as possible
+                    try:
+                        payloads.append(
+                            summary_payload(dataclasses.replace(plan, trace_path=str(path)))
+                        )
+                    finally:
+                        sys.setswitchinterval(interval)
+                    traces.append(path.read_bytes())
+                    assert pools == [cores]  # the pool is sized to the usable cores
+                    assert (len(drawn) > 0) == (cores > groups), (n, chains, kernel, cores)
+                    drawn.clear()
+                assert payloads[0] == payloads[1] == payloads[2]
+                assert traces[0] == traces[1] == traces[2]
 
     GROUPING_CASES = [
         (n, chains, kernel, histogram)
@@ -290,11 +351,12 @@ class TestStopFlag:
         ).random()
         monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 10 * plan.params.n)
         monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
-        advance = montecarlo._advance
+        pack = montecarlo._pack
         failed = threading.Event()
         state = {"chain1": None, "chain1_calls": 0, "after": 0}
 
-        def flaky_advance(code, params, u, kernel):
+        def flaky_pack(params, u, kernel):
+            # each group packs every chunk it steps, on its own worker
             me = threading.get_ident()
             if u[0][0, 0] == first_draw:
                 state["chain1"] = me
@@ -305,9 +367,9 @@ class TestStopFlag:
                     raise RuntimeError("chain 1 failed")
             elif failed.is_set():
                 state["after"] += 1
-            return advance(code, params, u, kernel)
+            return pack(params, u, kernel)
 
-        monkeypatch.setattr(montecarlo, "_advance", flaky_advance)
+        monkeypatch.setattr(montecarlo, "_pack", flaky_pack)
         with pytest.raises(RuntimeError, match="chain 1 failed"):
             run(plan)
         assert state["chain1_calls"] == 3
@@ -432,19 +494,50 @@ class TestTrace:
         assert before == after
 
     def test_failed_run_keeps_the_lines_written_so_far(self, monkeypatch, tmp_path):
-        advance, calls = montecarlo._advance, []
+        # the third chunk fails as it steps, on the group's own worker
+        walk, calls = montecarlo._walk, []
 
-        def fail_third_chunk(code, params, u, kernel):
-            calls.append(len(u))
+        def fail_third_chunk(code, params, packed, kernel):
+            calls.append(len(packed[0]))
             if len(calls) == 3:
                 raise RuntimeError("third chunk failed")
-            return advance(code, params, u, kernel)
+            return walk(code, params, packed, kernel)
 
         monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 10 * P635.n)
-        monkeypatch.setattr(montecarlo, "_advance", fail_third_chunk)
+        monkeypatch.setattr(montecarlo, "_walk", fail_third_chunk)
         path = tmp_path / "trace.txt"
         with pytest.raises(RuntimeError, match="third chunk failed"):
             run(make_plan(samples=100, burn_in=0, trace_path=str(path)))
+        assert calls == [10, 10, 10]
+        assert len(path.read_text().splitlines()) == 20
+
+    def test_failed_prefetch_keeps_the_lines_written_so_far(self, monkeypatch, tmp_path):
+        # one group on two workers draws each chunk after the first on the idle
+        # one; the third draw fails there and must reach the caller, not hang
+        monkeypatch.setattr(montecarlo, "_CHUNK_DOUBLES", 10 * P635.n)
+        monkeypatch.setattr(montecarlo, "_usable_cores", lambda: 2)
+        draw, walk = montecarlo._draw, montecarlo._walk
+        threads, prefetching = [], threading.Event()
+
+        def flaky_draw(rngs, rows, n):
+            threads.append(threading.get_ident())
+            if threads[-1] != threads[0]:
+                prefetching.set()
+            if len(threads) == 3:
+                raise RuntimeError("third draw failed")
+            return draw(rngs, rows, n)
+
+        def patient_walk(*args):
+            prefetching.wait(10)  # step only once the next chunk is being drawn
+            prefetching.clear()
+            return walk(*args)
+
+        monkeypatch.setattr(montecarlo, "_draw", flaky_draw)
+        monkeypatch.setattr(montecarlo, "_walk", patient_walk)
+        path = tmp_path / "trace.txt"
+        with pytest.raises(RuntimeError, match="third draw failed"):
+            run(make_plan(samples=100, burn_in=0, trace_path=str(path)))
+        assert len(threads) == 3 and threads[2] != threads[0]
         assert len(path.read_text().splitlines()) == 20
 
     def test_trace_is_not_held_in_memory(self, tmp_path):
