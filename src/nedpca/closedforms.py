@@ -31,6 +31,7 @@ weights; the transition-matrix oracle in `solver` never does.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -73,19 +74,26 @@ Real = Union[float, Fraction]
 # ---- Stationary weight and table ----
 
 
+def _ratio_power(params: ModelParams, k: int) -> Real:
+    with contextlib.suppress(OverflowError):  # a float power past the range raises; a quotient is inf
+        if (x := (params.p1 / params.p2) ** k) != math.inf:
+            return x
+    raise OverflowError(f"(p1/p2)**{k} overflows a float at {params}")
+
+
 def stationary_weight(beta: ConfigLike, params: ModelParams) -> Real:
     """Unnormalized stationary weight of a configuration; pi = weight / Z.
 
     p1**N1 * (1 - p1)**E / p2**B, evaluated as (p1/p2)**B * p1**(N1 - B) *
     (1 - p1)**E: each blocked vacancy precedes a distinct 1, so N1 >= B, and
-    no factor overflows unless the weight does.
+    no factor overflows unless the weight does; then an OverflowError names the point.
     """
     code = Configuration.coerce(beta, params.n).code
     open_mask, blocked_mask = window_masks(code, params)
     n1, blocked = code.bit_count(), blocked_mask.bit_count()
     zeros = params.n - n1 - open_mask.bit_count()
     p1 = params.p1
-    return (p1 / params.p2) ** blocked * p1 ** (n1 - blocked) * (1 - p1) ** zeros
+    return _ratio_power(params, blocked) * p1 ** (n1 - blocked) * (1 - p1) ** zeros
 
 
 def _weights(params: ModelParams) -> np.ndarray:
@@ -96,7 +104,7 @@ def _weights(params: ModelParams) -> np.ndarray:
     open_mask, blocked_mask = window_masks(codes, params)
     n1, blocked = np.bitwise_count(codes), np.bitwise_count(blocked_mask)
     zeros = n - n1 - np.bitwise_count(open_mask)
-    pw12 = np.array([(p1 / params.p2) ** k for k in range(n // params.m + 1)])  # B <= n // m
+    pw12 = np.array([_ratio_power(params, k) for k in range(n // params.m + 1)])  # B <= n // m
     pw1 = np.array([p1**k for k in range(n + 1)])
     pw0 = np.array([(1 - p1) ** k for k in range(n + 1)])
     return pw12[blocked] * pw1[n1 - blocked] * pw0[zeros]

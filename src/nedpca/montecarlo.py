@@ -12,9 +12,9 @@ j in the field of (2n + 7) // 8 bytes at field j (multi-spin coding across
 samples, Jacobs & Rebbi 1981); _advance alone steps such a group, or one chain.
 
 Each chain reads its own stream (numpy's SeedSequence.spawn) in order, in chunks
-of at most _CHUNK_DOUBLES doubles (1 MiB), freed once packed. Each group runs on a
-worker thread; only when the groups leave a usable core idle does a worker draw a
-group's next chunk while it steps, so a 1-chain plan may use two threads (the
+of at most _CHUNK_DOUBLES doubles (1 MiB), one worker thread per group. The
+bit-parallel kernel alone frees a chunk once packed and, when the groups leave a
+usable core idle, has a worker draw the group's next chunk while it steps (the
 Philox fill and np.packbits release the GIL). Each chain keeps an integer table,
 one row [samples, n1, *n10r1, n0m1] per batch of retained samples. Integers until
 the final division make a plan's summary the same whatever the kernel, grouping,
@@ -334,8 +334,8 @@ def run(plan: SimulationPlan) -> EmpiricalSummary:
     stop = threading.Event()
 
     def group(i: int, seeds) -> tuple[list, Optional[np.ndarray]]:
-        try:  # workers the groups leave idle draw each group's next chunk
-            spare = pool if len(groups) < workers else None
+        try:  # idle workers draw ahead, but not for the scalar kernel, which steps from its doubles
+            spare = pool if len(groups) < workers and plan.kernel == "bitparallel" else None
             return _run_group(plan, trace_file if i == 0 else None, seeds, stop, spare)
         except BaseException:
             stop.set()
@@ -403,7 +403,7 @@ def tv_distance(summary: EmpiricalSummary, table: StationaryTable) -> float:
 def kernel_throughput(
     params: ModelParams, kernel: str, steps: int, seed: int = 0
 ) -> float:
-    """Steps per second of one chain retaining no samples; a second core, if any, draws ahead."""
+    """Steps per second of one chain retaining no samples; a spare core draws ahead for bit-parallel."""
     if steps < 1:
         raise ParamError(f"need steps >= 1, got {steps}")
     plan = SimulationPlan(params, seed, samples=0, burn_in=steps, kernel=kernel, histogram=False)

@@ -10,8 +10,8 @@ of the lumped matrix in one matrix product.
 
 P is stored as compressed sparse rows: row a holds the 2**popcount(v)
 submasks of its vacancy mask v, and nothing is ever 4**n wide. Every check
-reads the one TransitionMatrix its caller built, about _BLOCK stored entries
-(whole rows; the audit's column-major ranks) at a time, in cache.
+reads the one TransitionMatrix its caller built in flat runs of _BLOCK stored
+entries (in storage order, or the audit's column-major ranks), in cache.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -101,19 +101,6 @@ class BalanceAudit:
 def _entry_rows(matrix: TransitionMatrix) -> np.ndarray:
     # the row of every stored entry, in storage order
     return np.repeat(np.arange(matrix.params.n_states, dtype=np.int32), np.diff(matrix.indptr))
-
-
-def _blocks(matrix: TransitionMatrix, rows: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # Walks the stored entries of `rows`, in their order, in runs of whole rows
-    # that cut at each _BLOCK-th entry; yields each entry's index into `rows`
-    # and its position in cols and vals.
-    lengths = matrix.indptr[rows + 1] - matrix.indptr[rows]
-    ends = np.cumsum(lengths)
-    shift = matrix.indptr[rows] - (ends - lengths)  # position minus running count
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _BLOCK), side="right"))
-    for lo, hi in zip(cuts, [*cuts[1:], len(rows)]):
-        which = np.repeat(np.arange(lo, hi), lengths[lo:hi])
-        yield which, np.arange(ends[lo] - lengths[lo], ends[hi - 1]) + shift[which]
 
 
 # ---- Matrix construction ----
@@ -219,8 +206,12 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
     k = len(reps)
     q = np.full((k, k), Fraction(0) if dtype == object else 0.0, dtype=dtype)
-    for rep, at in _blocks(matrix, reps):  # Q[A, B] lands at A * k + B
-        np.add.at(q.reshape(-1), rep * k + orbit[matrix.cols[at]], matrix.vals[at])
+    lengths = np.diff(matrix.indptr)[reps]
+    rep = np.repeat(np.arange(k), lengths)  # each representative entry's orbit A, in storage order
+    at = np.arange(len(rep)) + (matrix.indptr[reps] - np.cumsum(lengths) + lengths)[rep]  # and position
+    for lo in range(0, len(at), _BLOCK):  # Q[A, B] lands at A * k + B
+        run = at[lo : lo + _BLOCK]
+        np.add.at(q.reshape(-1), rep[lo : lo + _BLOCK] * k + orbit[matrix.cols[run]], matrix.vals[run])
     with np.errstate(over="raise", invalid="raise"):
         try:
             mu = _reduce(q)
@@ -255,10 +246,10 @@ def balance_residual(table: StationaryTable, matrix: TransitionMatrix):
     _check_consistent(table, matrix)
     dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
     pi = np.asarray(table.probs, dtype=dtype)
-    inflow = np.zeros(len(pi), dtype=dtype)
-    for a, at in _blocks(matrix, np.arange(len(pi))):
-        run = slice(at[0], at[-1] + 1)  # every row in order, so each block is one contiguous run
-        np.add.at(inflow, matrix.cols[run], np.asarray(matrix.vals[run], dtype=dtype) * pi[a])
+    inflow, rows = np.zeros(len(pi), dtype=dtype), _entry_rows(matrix)
+    for lo in range(0, len(rows), _BLOCK):
+        run = slice(lo, lo + _BLOCK)
+        np.add.at(inflow, matrix.cols[run], np.asarray(matrix.vals[run], dtype=dtype) * pi[rows[run]])
     worst = np.max(np.abs(inflow - pi))
     return worst if dtype is object else float(worst)
 

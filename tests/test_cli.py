@@ -195,6 +195,18 @@ class TestOverflow:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_weight_overflow_names_the_point(self, capsys):
+        # --tv builds the closed-form table before sampling, and (p1/p2)**2 overflows
+        code, out, err = run_cli(
+            capsys, "simulate", "-n", "6", "-m", "2", "--p1", "0.5", "--p2", "1e-300",
+            "--samples", "10", "--tv",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: float overflow: (p1/p2)**2 overflows a float"
+            " at ModelParams(n=6, m=2, p1=0.5, p2=1e-300)\n"
+        )
+
     def test_tiny_probabilities_give_z(self, capsys):
         # p2**-k overflowed the weight-sum check's table though Z = 322
         code, out, _ = run_cli(

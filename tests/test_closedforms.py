@@ -7,6 +7,7 @@ have to add up to binomial coefficients exactly, in integers.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -238,6 +239,17 @@ class TestPartitionFormula:
             partition_formula(params)
         with pytest.raises(OverflowError):
             density_formula(params)
+
+    @pytest.mark.parametrize("p2, k", [(1e-300, 2), (5e-324, 1)], ids=["power", "quotient"])
+    def test_weight_overflow_names_the_point(self, p2, k):
+        # (p1/p2)**k leaves the float range in ** at p2 = 1e-300, and already in
+        # the quotient at the smallest subnormal; neither raises bare nor gives inf
+        params = ModelParams(6, 2, 0.5, p2)
+        with pytest.raises(OverflowError, match=re.escape(f"(p1/p2)**{k} overflows a float at {params!r}")):
+            stationary_table_formula(params)
+        with pytest.raises(OverflowError, match=re.escape(f"(p1/p2)**3 overflows a float at {params!r}")):
+            stationary_weight("010101", params)
+        assert stationary_weight("000000", params) == 1.0
 
 
 def _paper_sum(params):

@@ -233,8 +233,9 @@ class TestRunDeterminism:
 
     def test_worker_count_invisible(self, monkeypatch, tmp_path):
         # one worker, a worker per group, and eight: only the last leaves workers
-        # idle, and they draw each group's next chunk while it steps (at n = 6 a
-        # group holds 4 chains, so 5 chains make two groups; at n = 12 it holds 3).
+        # idle, and they draw each group's next chunk while it steps when the kernel
+        # is bit-parallel (at n = 6 a group holds 4 chains, so 5 chains make two
+        # groups; at n = 12 it holds 3).
         # Burn-in and thinning straddle the edges of 1- and 4-row chunks
         pools, drawn = [], []
 
@@ -279,7 +280,8 @@ class TestRunDeterminism:
                         sys.setswitchinterval(interval)
                     traces.append(path.read_bytes())
                     assert pools == [cores]  # the pool is sized to the usable cores
-                    assert (len(drawn) > 0) == (cores > groups), (n, chains, kernel, cores)
+                    ahead = cores > groups and kernel == "bitparallel"
+                    assert (len(drawn) > 0) == ahead, (n, chains, kernel, cores)
                     drawn.clear()
                 assert payloads[0] == payloads[1] == payloads[2]
                 assert traces[0] == traces[1] == traces[2]
@@ -393,6 +395,27 @@ class TestHistogramMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+class TestDrawAheadMemory:
+    def test_scalar_peak_does_not_grow_with_a_spare_core(self, monkeypatch):
+        # the scalar kernel steps from its doubles, so a chunk drawn ahead would
+        # hold a second 1 MiB of them while the first is stepped
+        plan = SimulationPlan(
+            ModelParams(64, 3, 0.3, 0.5), seed=5, samples=0, burn_in=12_000, kernel="scalar",
+            histogram=False,
+        )
+        run(dataclasses.replace(plan, burn_in=100))  # first-use costs
+        peaks = []
+        for cores in (1, 2):
+            monkeypatch.setattr(montecarlo, "_usable_cores", lambda: cores)
+            tracemalloc.start()
+            try:
+                run(plan)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 class TestEstimates:

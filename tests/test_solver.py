@@ -153,7 +153,7 @@ class TestBitIdentity:
     """The row-blocked build, the flat lump and the residual give the bits of
     the full-width references. `ragged` sets _BLOCK to 5 * 2**n stored entries,
     so the build fills groups of rows in several short blocks and the lump and
-    the residual walk several runs of whole rows, the last one short."""
+    the residual walk several flat runs of stored entries, the last one short."""
 
     @BIT_IDENTITY_POINTS
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -209,6 +209,28 @@ class TestBitIdentity:
                 assert blocked == reference, n
             else:
                 assert np.max(np.abs(np.subtract(blocked, reference)) / reference) < 1e-13, n
+
+
+    @pytest.mark.parametrize("block", [1, 7, None], ids=["block1", "block7", "rows3"])
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("p1, p2", [(0.3, 0.5), (Fraction(1, 3), Fraction(1, 2))], ids=["float", "exact"])
+    def test_flat_runs_keep_the_default_bits(self, monkeypatch, block, n, m, p1, p2):
+        # the default _BLOCK holds every stored entry here in one run; runs of 1, of 7
+        # and of 3 * 2**n entries cut inside rows and must not move a bit of the
+        # table or of either residual (of the table itself, and of its floats)
+        matrix = build_matrix(ModelParams(n, m, p1, p2))
+
+        def bits():
+            table = solve_stationary(matrix)
+            floats = StationaryTable(matrix.params, tuple(map(float, table.probs)))
+            values = [*table.probs, balance_residual(table, matrix), balance_residual(floats, matrix)]
+            return [x if isinstance(x, Fraction) else x.hex() for x in values]
+
+        assert len(matrix.cols) <= nedpca.solver._BLOCK
+        default = bits()
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n if block is None else block)
+        assert bits() == default
 
 
 class TestBuildAndSolve:
@@ -522,7 +544,7 @@ class TestBalanceAudits:
     @pytest.mark.parametrize("n", [5, 8])
     @pytest.mark.parametrize("m, p1, p2", [(3, 0.3, 0.5), (2, 0.3, 0.7)])
     def test_ragged_blocks_of_three_rows(self, monkeypatch, n, m, p1, p2):
-        monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n)  # 2 to 9 runs of whole rows
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n)  # runs of 3 * 2**n column-major ranks
         matrix = build_matrix(ModelParams(n, m, p1, p2))
         table = solve_stationary(matrix)
         assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(table, matrix)
@@ -551,8 +573,8 @@ class TestBalanceAudits:
     @pytest.mark.parametrize("n", [5, 8])
     def test_witness_in_a_late_ragged_block(self, monkeypatch, n):
         # relabel a -> 2**n - 1 - a so the worst pair sits inside a late block
-        # runs of whole rows of about 24 stored entries, so their lengths vary;
-        # the witness falls in run 1 of 5 (n = 5) and run 23 of 66 (n = 8)
+        # runs of 24 column-major ranks, cut inside columns; the witness is first
+        # reached in run 1 of 6 (n = 5) and run 24 of 92 (n = 8), counting from 0
         monkeypatch.setattr(nedpca.solver, "_BLOCK", 24)
         params = ModelParams(n, 3, 0.3, 0.5)
         matrix = build_matrix(params)
