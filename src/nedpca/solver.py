@@ -8,8 +8,8 @@ elsewhere in the package be checked against an independent computation. The
 reduction censors orbits in panels of _PANEL, so each panel reaches the rest
 of the lumped matrix in one matrix product.
 
-P is stored as compressed sparse rows: row a holds the 2**popcount(v)
-submasks of its vacancy mask v, and nothing is ever 4**n wide. Every check
+P is stored as ascending keys a * 2**n + b: row a holds the 2**popcount(v)
+submasks b of its vacancy mask v, and nothing is ever 4**n wide. Every check
 reads the one TransitionMatrix its caller built in flat runs of _BLOCK stored
 entries (in storage order, or the audit's column-major ranks), in cache.
 """
@@ -46,7 +46,7 @@ __all__ = [
 FLOAT_CAP = 13
 # Exact mode pays for Fraction products, the solve and the residual: ~0.3-0.7 s per report at n = 9.
 RATIONAL_CAP = 9
-_BLOCK = 1 << 17  # stored entries per build, lump, residual or audit block
+_BLOCK = 1 << 17  # stored entries per build block, and per run of each pass over them
 _PANEL = 16  # orbits censored per panel of the GTH reduction
 
 
@@ -55,25 +55,22 @@ _PANEL = 16  # orbits censored per panel of the GTH reduction
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """One-step matrix P in compressed sparse rows.
+    """One-step matrix P as its stored entries in row-major order.
 
-    Row a stores P[a -> cols[j]] = vals[j] for j in indptr[a]:indptr[a+1],
-    columns ascending; every entry not stored is zero. The values are
-    float64, or Python Fractions in an object array when the parameters are
-    exact.
+    P[a -> b] = vals[j] where keys[j] = a * 2**n + b; the int64 keys strictly
+    ascend, and every entry not stored is zero. The values are float64, or
+    Python Fractions in an object array when the parameters are exact.
     """
 
     params: ModelParams
-    indptr: np.ndarray
-    cols: np.ndarray
+    keys: np.ndarray
     vals: np.ndarray
 
     @classmethod
     def from_dense(cls, params: ModelParams, entries: np.ndarray) -> TransitionMatrix:
         """The nonzeros of a dense array entries[a, b] = P[a -> b]."""
-        rows, cols = np.nonzero(entries)
-        indptr = np.searchsorted(rows, np.arange(params.n_states + 1))
-        return cls(params, indptr, cols, entries[rows, cols])
+        keys = np.flatnonzero(entries)
+        return cls(params, keys, entries.flat[keys])
 
     @property
     def exact(self) -> bool:
@@ -85,7 +82,7 @@ class TransitionMatrix:
         ns = self.params.n_states
         zero = Fraction(0) if self.vals.dtype == object else 0.0
         dense = np.full((ns, ns), zero, dtype=self.vals.dtype)
-        dense[_entry_rows(self), self.cols] = self.vals
+        dense.flat[self.keys] = self.vals
         dense.flags.writeable = False
         return dense
 
@@ -96,11 +93,6 @@ class BalanceAudit:
 
     max_violation: float
     witness: tuple[Configuration, Configuration]
-
-
-def _entry_rows(matrix: TransitionMatrix) -> np.ndarray:
-    # the row of every stored entry, in storage order
-    return np.repeat(np.arange(matrix.params.n_states, dtype=np.int32), np.diff(matrix.indptr))
 
 
 # ---- Matrix construction ----
@@ -135,9 +127,9 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     open_mask, blocked_mask = window_masks(np.arange(ns, dtype=np.int64), params)
     vacant = ((open_mask | blocked_mask)[:, None] >> np.arange(params.n)) & 1
     count = vacant.sum(axis=1)
-    indptr = np.zeros(ns + 1, dtype=np.int64)
-    np.cumsum(1 << count, out=indptr[1:])
-    cols, vals = np.empty(indptr[-1], dtype=np.int64), np.empty(indptr[-1], dtype=dtype)
+    offset = np.zeros(ns + 1, dtype=np.int64)  # each row's first stored entry, and the total
+    np.cumsum(1 << count, out=offset[1:])
+    keys, vals = np.empty(offset[-1], dtype=np.int64), np.empty(offset[-1], dtype=dtype)
     for c in range(params.n + 1):
         group = np.flatnonzero(count == c)
         step = max(1, _BLOCK >> c)  # rows per (rows, 2**c) block
@@ -146,17 +138,16 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
             site = np.nonzero(vacant[rows])[1].reshape(len(rows), c)  # ascending
             blocked = (blocked_mask[rows, None] >> site) & 1
             bit, s, f = 1 << site, stay[blocked], fill[blocked]
-            col = np.zeros((len(rows), 1 << c), dtype=np.int64)
-            val = np.empty((len(rows), 1 << c), dtype=dtype)
-            val[:, 0] = one
+            key = np.full((len(rows), 1 << c), rows[:, None] << params.n)  # column 0 holds a << n
+            val = np.full((len(rows), 1 << c), one, dtype=dtype)  # and the empty product 1
             for t in range(c):
                 low, high = slice(0, 1 << t), slice(1 << t, 2 << t)
-                np.bitwise_or(col[:, low], bit[:, t, None], out=col[:, high])
+                np.bitwise_or(key[:, low], bit[:, t, None], out=key[:, high])
                 np.multiply(val[:, low], f[:, t, None], out=val[:, high])
                 val[:, low] *= s[:, t, None]
-            at = indptr[rows, None] + np.arange(1 << c)
-            cols[at], vals[at] = col, val
-    return TransitionMatrix(params, indptr, cols, vals)
+            at = offset[rows, None] + np.arange(1 << c)
+            keys[at], vals[at] = key, val
+    return TransitionMatrix(params, keys, vals)
 
 
 # ---- Stationary solve ----
@@ -198,25 +189,30 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
 
     Raises:
         SolveFailed: if the lumped chain is reducible (cannot happen for
-            validated parameters) or a float overflows.
+            validated parameters), or a float overflows or underflows.
     """
-    n, dtype = matrix.params.n, matrix.vals.dtype
-    codes = np.arange(matrix.params.n_states, dtype=np.int64)
+    n, ns, dtype = matrix.params.n, matrix.params.n_states, matrix.vals.dtype
+    codes = np.arange(ns, dtype=np.int64)
     canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
     reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
     k = len(reps)
     q = np.full((k, k), Fraction(0) if dtype == object else 0.0, dtype=dtype)
-    lengths = np.diff(matrix.indptr)[reps]
-    rep = np.repeat(np.arange(k), lengths)  # each representative entry's orbit A, in storage order
-    at = np.arange(len(rep)) + (matrix.indptr[reps] - np.cumsum(lengths) + lengths)[rep]  # and position
+    first, stop = np.searchsorted(matrix.keys, np.stack([reps, reps + 1]) << n)  # representatives' rows
+    length = stop - first
+    at = np.arange(length.sum()) + np.repeat(first - np.cumsum(length) + length, length)  # their positions
     for lo in range(0, len(at), _BLOCK):  # Q[A, B] lands at A * k + B
         run = at[lo : lo + _BLOCK]
-        np.add.at(q.reshape(-1), rep[lo : lo + _BLOCK] * k + orbit[matrix.cols[run]], matrix.vals[run])
+        key = matrix.keys[run]
+        np.add.at(q.reshape(-1), orbit[key >> n] * k + orbit[key & (ns - 1)], matrix.vals[run])
     with np.errstate(over="raise", invalid="raise"):
         try:
             mu = _reduce(q)
         except FloatingPointError:
             raise SolveFailed(f"stationary solve overflows a float at {matrix.params}") from None
+        except SolveFailed:  # a certified chain is irreducible, so a zero outflow is rounding
+            if matrix.exact or not check_irreducible_aperiodic(matrix):
+                raise
+            raise SolveFailed(f"stationary solve underflows a float at {matrix.params}") from None
     pi = mu[orbit] / sizes.astype(dtype)[orbit]
     return StationaryTable(params=matrix.params, probs=tuple(pi.tolist()))
 
@@ -227,8 +223,11 @@ def check_irreducible_aperiodic(matrix: TransitionMatrix) -> bool:
     probability (aperiodicity). Read from which entries row 0 and column 0
     store, not their values: build_matrix stores there only products of p1,
     1 - p1 and p2, so an entry whose float underflows to 0.0 is still an edge."""
-    # a row stores each column at most once, so 2**n entries fill row 0 or column 0
-    return bool(matrix.indptr[1] == np.count_nonzero(matrix.cols == 0) == matrix.params.n_states)
+    # keys are distinct, so 2**n keys below 2**n fill row 0, and 2**n with low bits 0 column 0
+    keys, ns = matrix.keys, matrix.params.n_states
+    runs = range(0, len(keys), _BLOCK)
+    column = sum(np.count_nonzero((keys[lo : lo + _BLOCK] & (ns - 1)) == 0) for lo in runs)
+    return bool(np.searchsorted(keys, ns) == column == ns)
 
 
 def _check_consistent(table: StationaryTable, matrix: TransitionMatrix) -> None:
@@ -246,10 +245,10 @@ def balance_residual(table: StationaryTable, matrix: TransitionMatrix):
     _check_consistent(table, matrix)
     dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
     pi = np.asarray(table.probs, dtype=dtype)
-    inflow, rows = np.zeros(len(pi), dtype=dtype), _entry_rows(matrix)
-    for lo in range(0, len(rows), _BLOCK):
-        run = slice(lo, lo + _BLOCK)
-        np.add.at(inflow, matrix.cols[run], np.asarray(matrix.vals[run], dtype=dtype) * pi[rows[run]])
+    inflow, n = np.zeros(len(pi), dtype=dtype), matrix.params.n
+    for lo in range(0, len(matrix.keys), _BLOCK):
+        key, run = matrix.keys[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
+        np.add.at(inflow, key & (len(pi) - 1), np.asarray(matrix.vals[run], dtype=dtype) * pi[key >> n])
     worst = np.max(np.abs(inflow - pi))
     return worst if dtype is object else float(worst)
 
@@ -265,22 +264,22 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     b)) among the maxima, the first in row-major order; (0^n, 0^n) if all are 0.
     """
     _check_consistent(table, matrix)
-    n, ns, indptr, cols = matrix.params.n, matrix.params.n_states, matrix.indptr, matrix.cols
+    n, ns, keys = matrix.params.n, matrix.params.n_states, matrix.keys
     p = np.asarray(matrix.vals, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
-    rows = _entry_rows(matrix)
-    by_col = np.argsort(cols.astype(np.uint16), kind="stable")  # a radix sort (n <= 15)
+    by_col = np.argsort((keys & (ns - 1)).astype(np.uint16), kind="stable")  # a radix sort (n <= 16)
     worst, pair = 0.0, 0
-    for lo in range(0, len(cols), _BLOCK):
+    for lo in range(0, len(keys), _BLOCK):
         at, run = by_col[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
-        a, b = rows[at], cols[at]
-        same = (rows[run] == b) & (cols[run] == a)
+        key = keys[at]
+        a, b = key >> n, key & (ns - 1)
+        mirror = b << n | a
+        same = keys[run] == mirror
         back = np.where(same, p[run], 0.0)
-        if not same.all():  # the mirrors of columns b[0]..b[-1] are stored in rows b[0]..b[-1]
-            miss, span = np.flatnonzero(~same), slice(indptr[b[0]], indptr[b[-1] + 1])
-            found = span.start + np.searchsorted(rows[span] * ns + cols[span], b[miss] * ns + a[miss])
-            found = np.minimum(found, len(cols) - 1)
-            back[miss] = np.where((rows[found] == b[miss]) & (cols[found] == a[miss]), p[found], 0.0)
+        if not same.all():
+            miss = np.flatnonzero(~same)
+            found = np.minimum(np.searchsorted(keys, mirror[miss]), len(keys) - 1)
+            back[miss] = np.where(keys[found] == mirror[miss], p[found], 0.0)
         gap = np.abs(pi[a] * p[at] - pi[b] * back)
         top = gap.max()
         if top >= worst and top > 0:
@@ -297,12 +296,12 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
 
 def transition_edges(matrix: TransitionMatrix) -> list[tuple[str, str, float]]:
     """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings."""
-    n = matrix.params.n
-    names = [Configuration(code, n).to_string() for code in range(matrix.params.n_states)]
+    n, ns = matrix.params.n, matrix.params.n_states
+    names = [Configuration(code, n).to_string() for code in range(ns)]
     p = matrix.vals.astype(float)
     live = p > 0  # p2 = 1 stores exact zeros
-    edges = zip(_entry_rows(matrix)[live].tolist(), matrix.cols[live].tolist(), p[live].tolist())
-    return [(names[a], names[b], x) for a, b, x in edges]
+    edges = zip(matrix.keys[live].tolist(), p[live].tolist())
+    return [(names[key >> n], names[key & (ns - 1)], x) for key, x in edges]
 
 
 def one_directional_pair(params: ModelParams) -> Optional[tuple[Configuration, Configuration]]:

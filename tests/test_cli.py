@@ -207,6 +207,18 @@ class TestOverflow:
             " at ModelParams(n=6, m=2, p1=0.5, p2=1e-300)\n"
         )
 
+    def test_float_underflow_names_the_point(self, capsys):
+        # p2 * 0.5 rounds to 0.0, so orbit 3's whole lumped outflow does too,
+        # though the chain is certified irreducible (p2 > 0)
+        code, out, err = run_cli(
+            capsys, "exact", "-n", "6", "-m", "2", "--p1", "0.5", "--p2", "5e-324"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: stationary solve underflows a float"
+            " at ModelParams(n=6, m=2, p1=0.5, p2=5e-324)\n"
+        )
+
     def test_tiny_probabilities_give_z(self, capsys):
         # p2**-k overflowed the weight-sum check's table though Z = 322
         code, out, _ = run_cli(

@@ -136,8 +136,8 @@ def add_at_residual(table, matrix):
     dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
     pi = np.asarray(table.probs, dtype=dtype)
     inflow = np.zeros(len(pi), dtype=dtype)
-    rows = np.repeat(np.arange(len(pi)), np.diff(matrix.indptr))
-    np.add.at(inflow, matrix.cols, matrix.vals.astype(dtype) * pi[rows])
+    rows, cols = np.divmod(matrix.keys, len(pi))
+    np.add.at(inflow, cols, matrix.vals.astype(dtype) * pi[rows])
     worst = np.max(np.abs(inflow - pi))
     return worst if dtype is object else float(worst)
 
@@ -227,10 +227,34 @@ class TestBitIdentity:
             values = [*table.probs, balance_residual(table, matrix), balance_residual(floats, matrix)]
             return [x if isinstance(x, Fraction) else x.hex() for x in values]
 
-        assert len(matrix.cols) <= nedpca.solver._BLOCK
+        assert len(matrix.keys) <= nedpca.solver._BLOCK
         default = bits()
         monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n if block is None else block)
         assert bits() == default
+
+
+class TestKeyFormat:
+    """The invariant every searchsorted over the stored keys relies on: keys
+    a * 2**n + b strictly ascend and lie below 4**n, however the build is
+    blocked, and from_dense stores the same entries in the same order."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "p1, p2, n_hi", [(0.3, 0.5, 9), (Fraction(1, 3), Fraction(1, 2), 7)], ids=["float", "exact"]
+    )
+    @pytest.mark.parametrize("ragged", [False, True], ids=["default", "ragged"])
+    def test_keys_ascend_below_4_to_the_n(self, monkeypatch, ragged, m, p1, p2, n_hi):
+        for n in range(m, n_hi + 1):
+            if ragged:
+                monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
+            matrix = build_matrix(ModelParams(n, m, p1, p2))
+            keys = matrix.keys
+            assert keys.dtype == np.int64 and len(keys) == len(matrix.vals), n
+            assert keys[0] >= 0 and (np.diff(keys) > 0).all() and keys[-1] < 4**n, n
+            # p2 < 1 stores no exact zero, so from_dense keeps every stored entry
+            dense = TransitionMatrix.from_dense(matrix.params, matrix.entries)
+            assert np.array_equal(dense.keys, keys), n
+            assert dense.vals.dtype == matrix.vals.dtype and (dense.vals == matrix.vals).all(), n
 
 
 class TestBuildAndSolve:
@@ -297,7 +321,7 @@ class TestBuildAndSolve:
     def test_certificate_reads_stored_entries_not_values(self):
         # p1**2 underflows, so row 0 stores exact zeros for the edges to 2+ particles
         matrix = build_matrix(ModelParams(6, 2, 1e-300, 1e-300))
-        assert (matrix.vals[: matrix.indptr[1]] == 0).any()
+        assert (matrix.vals[matrix.keys < matrix.params.n_states] == 0).any()
         assert check_irreducible_aperiodic(matrix)
 
     @pytest.mark.parametrize("missing", [(0, 5), (0, 0), (6, 0)], ids=["row0", "self-loop", "column0"])
@@ -468,9 +492,9 @@ def audit_key(audit):
 def mixed_blocks(matrix, block):
     """How many blocks of `block` column-major ranks hold both a mirror that is
     the stored entry of the same rank and one that is not."""
-    rows = np.repeat(np.arange(matrix.params.n_states), np.diff(matrix.indptr))
-    by_col = np.lexsort((rows, matrix.cols))
-    same = (rows == matrix.cols[by_col]) & (matrix.cols == rows[by_col])
+    rows, cols = np.divmod(matrix.keys, matrix.params.n_states)
+    by_col = np.lexsort((rows, cols))
+    same = (rows == cols[by_col]) & (cols == rows[by_col])
     return sum(0 < s.sum() < len(s) for s in np.split(same, range(block, len(same), block)))
 
 
@@ -614,7 +638,19 @@ class TestBalanceAudits:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * (matrix.cols.nbytes + matrix.vals.nbytes)
+        assert peak <= 2.1 * (matrix.keys.nbytes + matrix.vals.nbytes)
+
+    def test_residual_holds_no_per_entry_array(self):
+        # 3**13 stored entries in 13 flat runs: only one run's temporaries are ever live
+        matrix = build_matrix(ModelParams(13, 2, 0.3, 0.5))
+        table = solve_stationary(matrix)
+        tracemalloc.start()
+        try:
+            balance_residual(table, matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.2 * (matrix.keys.nbytes + matrix.vals.nbytes)
 
     def test_audit_holds_no_second_matrix(self):
         matrix = build_matrix(ModelParams(10, 3, 0.3, 0.5))
