@@ -1,9 +1,9 @@
 """Monte Carlo sampling of the chain with interchangeable update kernels.
 
 Both kernels consume exactly one uniform per site per step (the draw is
-discarded at forced sites), in site order, and test it against the same
-doubles, float(p1) and 1 - float(p2) from _thresholds, so scalar_step (the
-site-by-site reference) and the bit-parallel kernel give bit-identical
+discarded at forced sites), in site order, and test it against the same doubles,
+float(p1) and 1 - float(p2) from _thresholds, so scalar_step (the reference,
+from model.window_masks) and the bit-parallel kernel give bit-identical
 trajectories from one seed. The latter packs a chunk's comparisons in one flat
 pass into two ints per step, b1 = u < p1 and d = b1 ^ (u < 1 - p2), and updates
 all sites from the doubled code c | c << n with a few integer operations and no
@@ -41,6 +41,7 @@ from .model import (
     ModelParams,
     StationaryTable,
     pattern_totals,
+    window_masks,
 )
 
 __all__ = [
@@ -171,28 +172,18 @@ def _thresholds(params: ModelParams) -> tuple[float, float]:
 
 
 def scalar_step(code: int, params: ModelParams, u: Sequence[float]) -> int:
-    """Reference one-step update, site by site.
+    """Reference one-step update, site by site, at the vacancies window_masks finds.
 
-    u must supply n uniforms indexed 0..n-1. Draw i is compared against
-    float(p1) at an open vacancy and against 1 - float(p2) at a blocked one; it
-    is ignored (but still consumed) at forced sites, so any kernel fed the same
-    stream makes identical decisions.
+    u must supply n uniforms indexed 0..n-1; bits of code at or above n are
+    ignored. Draw i is compared against float(p1) at an open vacancy and against
+    1 - float(p2) at a blocked one; it is ignored (but still consumed) at forced
+    sites, so any kernel fed the same stream makes identical decisions.
     """
-    n, m = params.n, params.m
     p1, r2 = _thresholds(params)
+    vacant, blocked = window_masks(int(code) & (params.n_states - 1), params)
     new = 0
-    for i in range(n):
-        forced = False
-        for t in range(m - 1):
-            if (code >> ((i + t) % n)) & 1:
-                forced = True
-                break
-        if forced:
-            continue
-        if (code >> ((i + m - 1) % n)) & 1:
-            if u[i] < r2:
-                new |= 1 << i
-        elif u[i] < p1:
+    for i in range(params.n):
+        if (vacant >> i & 1 and u[i] < p1) or (blocked >> i & 1 and u[i] < r2):
             new |= 1 << i
     return new
 

@@ -400,9 +400,10 @@ class TestHistogramMemory:
 class TestDrawAheadMemory:
     def test_scalar_peak_does_not_grow_with_a_spare_core(self, monkeypatch):
         # the scalar kernel steps from its doubles, so a chunk drawn ahead would
-        # hold a second 1 MiB of them while the first is stepped
+        # hold a second 1 MiB of them while the first is stepped; two full chunks
+        # of 2048 steps and one step more would submit a draw-ahead twice
         plan = SimulationPlan(
-            ModelParams(64, 3, 0.3, 0.5), seed=5, samples=0, burn_in=12_000, kernel="scalar",
+            ModelParams(64, 3, 0.3, 0.5), seed=5, samples=0, burn_in=4_097, kernel="scalar",
             histogram=False,
         )
         run(dataclasses.replace(plan, burn_in=100))  # first-use costs

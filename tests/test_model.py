@@ -321,6 +321,34 @@ class TestScalarStep:
         assert scalar_step(0, params, [0.0] * 4) == 0b1111
         assert scalar_step(0, params, [1.0] * 4) == 0
 
+    @pytest.mark.parametrize(
+        "p1, p2",
+        [(0.3, 0.5), (0.9, 1.0), (Fraction(1, 3), Fraction(1, 2)), (Fraction(2, 7), Fraction(1))],
+        ids=["float", "float-p2-1", "fraction", "fraction-p2-1"],
+    )
+    def test_each_site_follows_its_window(self, p1, p2):
+        # bit i fills exactly at an open vacancy with u[i] < float(p1) or at a
+        # blocked one with u[i] < 1 - float(p2); draws sit on and just below both
+        # thresholds, and bits of the code at or above n change nothing. Codes 0
+        # and 1 << j hold open and blocked vacancies at every m, up to m = n
+        rng = random.Random(17)
+        f1, r2 = float(p1), 1 - float(p2)
+        draws = (f1, r2, math.nextafter(f1, 0), math.nextafter(r2, 0))
+        for n in range(2, 21):
+            for m in range(2, n + 1):
+                params = ModelParams(n, m, p1, p2)
+                for code in (0, 1 << rng.randrange(n), rng.getrandbits(n), rng.getrandbits(n)):
+                    u = [rng.choice(draws + (rng.random(),)) for _ in range(n)]
+                    new = scalar_step(code, params, u)
+                    for i in range(n):
+                        w = classify_window(Configuration(code, n), i + 1, params)
+                        fills = (w is SiteWindow.OPEN_VACANCY and u[i] < f1) or (
+                            w is SiteWindow.BLOCKED_VACANCY and u[i] < r2
+                        )
+                        assert new >> i & 1 == fills, (n, m, code, i)
+                    assert scalar_step(np.int64(code), params, u) == new
+                    assert scalar_step(code | rng.randrange(1, 1 << 70) << n, params, u) == new
+
     def test_step_sample_reproducible(self):
         params = ModelParams(6, 3, 0.3, 0.5)
         out1 = step_sample("010010", params, np.random.default_rng(5))
