@@ -20,7 +20,7 @@ class ParamError(NedpcaError, ValueError):
 
 
 class BudgetExceeded(NedpcaError):
-    """A dense-enumeration request above the configured size cap."""
+    """A request above a configured size cap, or over a byte budget."""
 
 
 class SolveFailed(NedpcaError):

@@ -5,17 +5,21 @@ small rings, but it makes no appeal to any closed form: the stationary vector
 comes out of a GTH state reduction, lumped onto rotation orbits by a symmetry
 of the transition law alone. That is what lets the analytic evaluators
 elsewhere in the package be checked against an independent computation. The
-reduction censors orbits in panels of _PANEL, so each panel reaches the rest
-of the lumped matrix in one matrix product.
+reduction censors orbits in panels whose width grows with the orbit count:
+each orbit's elimination touches only a small work block, and each panel
+reaches the rest of the lumped matrix in three matrix products.
 
 P is stored as ascending keys a * 2**n + b: row a holds the 2**popcount(v)
 submasks b of its vacancy mask v, and nothing is ever 4**n wide. Every check
 reads the one TransitionMatrix its caller built in flat runs of _BLOCK stored
-entries (in storage order, or the audit's column-major ranks), in cache.
+entries (in storage order, or the audit's column-major ranks), in cache. A
+float request is sized in bytes before anything is allocated: the stored
+entries, the lumped matrix and the audit's order must fit BYTE_BUDGET.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +31,7 @@ from .errors import BudgetExceeded, DimensionMismatch, SolveFailed
 from .model import Configuration, ModelParams, StationaryTable, ror, transition_prob, window_masks
 
 __all__ = [
-    "FLOAT_CAP",
+    "BYTE_BUDGET",
     "RATIONAL_CAP",
     "TransitionMatrix",
     "BalanceAudit",
@@ -40,14 +44,15 @@ __all__ = [
     "one_directional_pair",
 ]
 
-# The caps were set for a dense P (512 MiB at n = 13) and stay until byte
-# budgets replace them; the stored entries take at most 16 * 3**n bytes (m = 2),
-# 25 MiB at n = 13.
-FLOAT_CAP = 13
+# Bytes a report may need, by _shares: n = 16 fits at m >= 3 (0.49 GB at
+# m = 3), and (16, 2), whose 43M stored entries alone take 0.69 GB, does not.
+BYTE_BUDGET = 1 << 30
 # Exact mode pays for Fraction products, the solve and the residual: ~0.3-0.7 s per report at n = 9.
 RATIONAL_CAP = 9
 _BLOCK = 1 << 17  # stored entries per build block, and per run of each pass over them
-_PANEL = 16  # orbits censored per panel of the GTH reduction
+_RUN_BYTES = 128 * _BLOCK  # one run's temporaries: up to sixteen arrays of 8-byte items
+_RESCALE = 1e100  # the back-substitution rescales mu once an orbit's mass exceeds this
+_TIE_ULPS = 16  # audit gaps this many ulps of the larger product below the maximum tie with it
 
 
 # ---- Types ----
@@ -98,6 +103,16 @@ class BalanceAudit:
 # ---- Matrix construction ----
 
 
+def _shares(n: int, stored: int) -> tuple[int, int, int]:
+    """Bytes the build, the solve and the audit of a float report may allocate: the
+    stored entries at 16 bytes each, Q and one panel-product temporary at 8 k**2 each
+    (k rotation orbits), the audit's column-major order at 10 bytes per entry (with
+    its uint16 sort key), each stage's per-state arrays, and one run's temporaries."""
+    k = sum(2 ** math.gcd(t, n) for t in range(n)) // n  # rotation orbits, by Burnside's lemma
+    per_state, run = (16 * n + 64) << n, _RUN_BYTES
+    return 16 * stored + per_state + run, 16 * k * k + per_state + run, 10 * stored + run
+
+
 def build_matrix(params: ModelParams) -> TransitionMatrix:
     """Every row P[a -> .], as a product of independent site factors.
 
@@ -111,15 +126,13 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     dense site-by-site product without its exact factors of 1.
 
     Raises:
-        BudgetExceeded: when n exceeds FLOAT_CAP, or RATIONAL_CAP for exact
-            fractions.
+        BudgetExceeded: when n exceeds RATIONAL_CAP for exact fractions, or
+            when the stored entries, the solve and the audit, by _shares, would
+            take more than BYTE_BUDGET bytes; checked before keys and vals are
+            allocated.
     """
-    cap = RATIONAL_CAP if params.exact else FLOAT_CAP
-    if params.n > cap:
-        raise BudgetExceeded(
-            f"n={params.n} exceeds the {'rational' if params.exact else 'float'} cap {cap}:"
-            f" its stored entries take up to {16 * 3**params.n} bytes"
-        )
+    if params.exact and params.n > RATIONAL_CAP:
+        raise BudgetExceeded(f"n={params.n} exceeds the rational cap {RATIONAL_CAP}")
     dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
     p1, p2 = params.p1, params.p2
     stay, fill = np.array([1 - p1, p2], dtype=dtype), np.array([p1, 1 - p2], dtype=dtype)
@@ -129,6 +142,12 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     count = vacant.sum(axis=1)
     offset = np.zeros(ns + 1, dtype=np.int64)  # each row's first stored entry, and the total
     np.cumsum(1 << count, out=offset[1:])
+    shares = _shares(params.n, int(offset[-1]))
+    if sum(shares) > BYTE_BUDGET:
+        raise BudgetExceeded(
+            f"n={params.n}, m={params.m} needs about {sum(shares)} bytes, over the budget {BYTE_BUDGET}:"
+            f" build {shares[0]} ({offset[-1]} stored entries), solve {shares[1]}, audit {shares[2]}"
+        )
     keys, vals = np.empty(offset[-1], dtype=np.int64), np.empty(offset[-1], dtype=dtype)
     for c in range(params.n + 1):
         group = np.flatnonzero(count == c)
@@ -153,28 +172,57 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
 # ---- Stationary solve ----
 
 
+def _width(q: np.ndarray) -> int:
+    # Fractions pay per operation, so they take one panel; float panels widen with k,
+    # so that the products run at BLAS speed: 16 orbits at k <= 543, 128 at k = 4116
+    return len(q) if q.dtype == object else max(16, len(q) >> 5)
+
+
 def _reduce(q: np.ndarray) -> np.ndarray:
-    # Blocked GTH state reduction (Grassmann, Taksar & Heyman 1985) of the stochastic q,
-    # in place: orbits k-1..1 are censored in panels lo..hi-1 of _PANEL, where orbit c
-    # updates only the panel rows q[lo:c, :c] and columns q[:lo, lo:c], and q[:lo, :lo]
-    # takes the whole panel in one product; then mu is back-substituted from mu_0 = 1.
-    # No term is subtracted, so each entry keeps a small relative error (O'Cinneide 1993).
-    k = len(q)
-    s = np.ones(k, dtype=q.dtype)  # s[c]: what orbit c sends to orbits 0..c-1
-    for hi in range(k, 1, -_PANEL):
-        lo = max(hi - _PANEL, 1)
-        for c in range(hi - 1, lo - 1, -1):
-            s[c] = q[c, :c].sum()
-            if s[c] == 0:
-                raise SolveFailed(f"lumped chain is reducible: orbit {c} never reaches orbits 0..{c - 1}")
-            out = q[c, :c] / s[c]
-            q[lo:c, :c] += np.outer(q[lo:c, c], out)
-            q[:lo, lo:c] += np.outer(q[:lo, c], out[lo:])
+    # GTH state reduction (Grassmann, Taksar & Heyman 1985) of the stochastic q, in
+    # place: orbits k-1..1 are censored in panels B = lo..hi-1 of b = _width(q), and
+    # orbit c's outflow s[c] to orbits 0..c-1 is kept for the back-substitution, which
+    # reads q[:c, c]. While lo > b, a panel is eliminated inside the work block w:
+    #   w[b:, b+1:] is Q_BB, w[b:, b] the sums of Q_BA's rows, and the proxies
+    #   w[b:, :b] (L) and w[:b, b+1:] (U) start as identities and take the rank-1
+    #   updates that Q_BA's rows and Q_AB's columns would,
+    # so Q_BA becomes L @ Q_BA and Q_AB becomes Q_AB @ U, and Q_AA takes the Schur
+    # product. Once lo <= b, the rest is reduced on q[:hi, :hi] itself. Nothing is
+    # subtracted, so each entry keeps a small relative error (O'Cinneide 1993).
+    k, b = len(q), _width(q)
+    s = np.ones(k, dtype=q.dtype)
+    hi = k
+    while hi > 2 * b:
+        lo = hi - b
+        w = np.zeros((2 * b, 2 * b + 1), dtype=q.dtype)
+        w[:b, b + 1 :] = w[b:, :b] = np.identity(b, dtype=q.dtype)
+        w[b:, b] = q[lo:hi, :lo].sum(axis=1)
+        w[b:, b + 1 :] = q[lo:hi, lo:hi]
+        for t in range(b - 1, -1, -1):
+            row = w[b + t, : b + 1 + t]
+            s[lo + t] = row[b:].sum()
+            _check_outflow(s, lo + t)
+            w[: b + t, : b + 1 + t] += w[: b + t, b + 1 + t, None] * (row / s[lo + t])
+        q[lo:hi, lo:hi] = w[b:, b + 1 :]
+        q[lo:hi, :lo] = w[b:, :b] @ q[lo:hi, :lo]
+        q[:lo, lo:hi] = q[:lo, lo:hi] @ w[:b, b + 1 :]
         q[:lo, :lo] += q[:lo, lo:hi] @ (q[lo:hi, :lo] / s[lo:hi, None])
-    mu = np.ones(k, dtype=q.dtype)
+        hi = lo
+    for c in range(hi - 1, 0, -1):
+        s[c] = q[c, :c].sum()
+        _check_outflow(s, c)
+        q[:c, :c] += q[:c, c, None] * (q[c, :c] / s[c])
+    mu = np.ones(k, dtype=q.dtype)  # from mu_0 = 1, rescaled so that no mass overflows
     for c in range(1, k):
         mu[c] = mu[:c] @ q[:c, c] / s[c]
+        if mu[c] > _RESCALE:
+            mu[: c + 1] /= mu[c]
     return mu / mu.sum()
+
+
+def _check_outflow(s: np.ndarray, c: int) -> None:
+    if s[c] == 0:
+        raise SolveFailed(f"lumped chain is reducible: orbit {c} never reaches orbits 0..{c - 1}")
 
 
 def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
@@ -185,7 +233,9 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     sec. 6.3), with Q[A, B] = sum over b in B of P[a, b] for any a in A,
     scattered straight from the representatives' stored entries in ascending b.
     One GTH state reduction of Q, in floats or Fractions alike, gives mu >= 0
-    even at tiny p1 and p2; returns pi(a) = mu(A) / |A|.
+    even at tiny p1 and p2, and mu is rescaled as it is back-substituted, so
+    masses past the float range of pi(0^n) still answer; returns
+    pi(a) = mu(A) / |A|.
 
     Raises:
         SolveFailed: if the lumped chain is reducible (cannot happen for
@@ -198,10 +248,10 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     k = len(reps)
     q = np.full((k, k), Fraction(0) if dtype == object else 0.0, dtype=dtype)
     first, stop = np.searchsorted(matrix.keys, np.stack([reps, reps + 1]) << n)  # representatives' rows
-    length = stop - first
-    at = np.arange(length.sum()) + np.repeat(first - np.cumsum(length) + length, length)  # their positions
-    for lo in range(0, len(at), _BLOCK):  # Q[A, B] lands at A * k + B
-        run = at[lo : lo + _BLOCK]
+    end = np.cumsum(stop - first)  # where each representative's row ends in the walk over them
+    for lo in range(0, int(end[-1]), _BLOCK):  # Q[A, B] lands at A * k + B
+        j = np.arange(lo, min(lo + _BLOCK, int(end[-1])))
+        run = j + (stop - end)[np.searchsorted(end, j, side="right")]
         key = matrix.keys[run]
         np.add.at(q.reshape(-1), orbit[key >> n] * k + orbit[key & (ns - 1)], matrix.vals[run])
     with np.errstate(over="raise", invalid="raise"):
@@ -259,16 +309,20 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     Only a pair with a stored entry either way can be nonzero, so the gap is
     formed at each stored (a, b) in column-major order, where the mirror keys
     b * 2**n + a ascend like the stored keys: P[b->a] is the entry of the same
-    rank if the pattern is symmetric (m = 2), and is searched for if not. The
-    gap is exactly symmetric, so the witness is the smallest (min(a, b), max(a,
-    b)) among the maxima, the first in row-major order; (0^n, 0^n) if all are 0.
+    rank if the pattern is symmetric (m = 2), and is searched for if not.
+    max_violation is the exact maximum. The witness is the smallest (min(a, b),
+    max(a, b)) among the pairs a != b whose gap is within _TIE_ULPS ulps of the
+    larger of its two products below it (rounding alone can part pairs whose
+    gaps tie, such as rotations of one pair), or (0^n, 0^n) if every gap is 0.
     """
     _check_consistent(table, matrix)
     n, ns, keys = matrix.params.n, matrix.params.n_states, matrix.keys
     p = np.asarray(matrix.vals, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
+    tie = _TIE_ULPS * np.finfo(float).eps
+    slack = 2 * tie * pi.max() * p.max()  # bounds every pair's tie tolerance
     by_col = np.argsort((keys & (ns - 1)).astype(np.uint16), kind="stable")  # a radix sort (n <= 16)
-    worst, pair = 0.0, 0
+    worst, pairs, reach = 0.0, np.zeros(0, dtype=np.int64), np.zeros(0)  # tie candidates
     for lo in range(0, len(keys), _BLOCK):
         at, run = by_col[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
         key = keys[at]
@@ -281,13 +335,21 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
             found = np.minimum(np.searchsorted(keys, mirror[miss]), len(keys) - 1)
             back[miss] = np.where(keys[found] == mirror[miss], p[found], 0.0)
         gap = np.abs(pi[a] * p[at] - pi[b] * back)
-        top = gap.max()
-        if top >= worst and top > 0:
-            hit = gap == top
-            low = np.minimum(a[hit], b[hit]) * ns + np.maximum(a[hit], b[hit])
-            pair = min(int(low.min()), pair) if top == worst else int(low.min())
-            worst = float(top)
-    a, b = divmod(pair, ns)
+        worst = max(worst, float(gap.max()))
+        near = np.flatnonzero(gap >= worst - slack)
+        a, b, ab, ba = a[near], b[near], p[at[near]], back[near]
+        low = np.minimum(a, b) * ns + np.maximum(a, b)
+        tied = gap[near] + np.where(a == b, 0.0, tie * np.maximum(pi[a] * ab, pi[b] * ba))
+        # the candidates ascend by pair, each reaching further than every smaller one
+        # (a pair that a smaller one out-reaches is never the witness), and reach the
+        # maximum so far; a new pair joins only if no smaller candidate out-reaches it
+        fresh = tied > np.concatenate([[-1.0], reach])[np.searchsorted(pairs, low, side="right")]
+        pairs, reach = np.concatenate([pairs, low[fresh]]), np.concatenate([reach, tied[fresh]])
+        order = np.argsort(pairs)
+        pairs, reach = pairs[order], reach[order]
+        keep = (reach >= worst) & (reach > np.maximum.accumulate(np.concatenate([[-1.0], reach[:-1]])))
+        pairs, reach = pairs[keep], reach[keep]
+    a, b = divmod(int(pairs[0]) if worst > 0 else 0, ns)
     return BalanceAudit(max_violation=worst, witness=(Configuration(a, n), Configuration(b, n)))
 
 

@@ -502,6 +502,18 @@ class TestConfigAndErrors:
         )
         assert code == 3 and "cap" in err
 
+    def test_float_budget_exit(self, capsys):
+        # 3**16 stored entries, refused in bytes before they are allocated
+        code, out, err = run_cli(
+            capsys, "exact", "-n", "16", "-m", "2", "--p1", "0.3", "--p2", "0.5"
+        )
+        assert (code, out) == (3, "")
+        assert re.fullmatch(
+            r"error: n=16, m=2 needs about \d+ bytes, over the budget 1073741824:"
+            r" build \d+ \(43046721 stored entries\), solve \d+, audit \d+\n",
+            err,
+        )
+
     @pytest.mark.parametrize("command", ["exact", "partition"])
     def test_exact_rational_is_gone(self, capsys, tmp_path, command):
         # fraction syntax alone selects exact arithmetic

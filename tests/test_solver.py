@@ -131,6 +131,27 @@ def add_at_table(matrix, reduce):
     return tuple((mu[orbit] / sizes.astype(p.dtype)[orbit]).tolist())
 
 
+def lumped_q(matrix):
+    """Q[A, B] = sum over b in B of P[a, b], a the smallest code of orbit A, from
+    the stored entries with one np.add.at (no dense P)."""
+    n, zero = matrix.params.n, Fraction(0) if matrix.exact else 0.0
+    canon = np.array(rotation_orbits(n))
+    reps, orbit = np.unique(canon, return_inverse=True)
+    rows, cols = np.divmod(matrix.keys, matrix.params.n_states)
+    at = np.flatnonzero(canon[rows] == rows)
+    q = np.full((len(reps), len(reps)), zero, dtype=matrix.vals.dtype)
+    np.add.at(q, (orbit[rows[at]], orbit[cols[at]]), matrix.vals[at])
+    return q
+
+
+def lumped_table(matrix, reduce):
+    """The table from `reduce` on lumped_q, spread evenly over each orbit."""
+    canon = np.array(rotation_orbits(matrix.params.n))
+    _, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
+    mu = reduce(lumped_q(matrix))
+    return StationaryTable(matrix.params, tuple((mu[orbit] / sizes[orbit]).tolist()))
+
+
 def add_at_residual(table, matrix):
     """Reference residual: one np.add.at over every stored entry in storage order."""
     dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
@@ -191,17 +212,18 @@ class TestBitIdentity:
                 monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
             assert balance_residual(table, matrix) == add_at_residual(table, matrix), n
 
-    @pytest.mark.parametrize("width", [1, 5, 7, nedpca.solver._PANEL], ids=lambda w: f"panel{w}")
+    @pytest.mark.parametrize("width", [1, 5, 7, 16], ids=lambda w: f"panel{w}")
     @pytest.mark.parametrize(
         "m, p1, p2, n_hi",
         [(2, 0.3, 0.5, 10), (3, 0.05, 0.95, 10), (4, 1e-12, 1e-12, 10), (2, Fraction(1, 3), Fraction(1, 2), 7)],
         ids=["float-0.3-0.5", "float-0.05-0.95", "float-tiny", "exact"],
     )
     def test_blocked_reduce_equals_unblocked_loop(self, monkeypatch, width, m, p1, p2, n_hi):
-        # n = 2..10 has k = 3, 4, 6, 8, 14, 20, 36, 60, 108 orbits, so the widths meet
-        # k below one panel (5, 7, 16), k a multiple of the width (1; 5 at 20 and 60;
-        # 7 at 14) and a ragged last panel (5, 7, 16 at 20 and above)
-        monkeypatch.setattr(nedpca.solver, "_PANEL", width)
+        # n = 2..10 has k = 3, 4, 6, 8, 14, 20, 36, 60, 108 orbits; panels of `width`
+        # run in the work block while more than 2 * width orbits are left, so every
+        # width meets k with no wide panel, k past it by less than a panel (5 at 14,
+        # 7 at 20, 16 at 36) and several wide panels; Fractions take both paths too
+        monkeypatch.setattr(nedpca.solver, "_width", lambda q: width)
         for n in range(m, n_hi + 1):
             matrix = build_matrix(ModelParams(n, m, p1, p2))
             blocked, reference = solve_stationary(matrix).probs, add_at_table(matrix, unblocked_reduce)
@@ -210,6 +232,27 @@ class TestBitIdentity:
             else:
                 assert np.max(np.abs(np.subtract(blocked, reference)) / reference) < 1e-13, n
 
+    @pytest.mark.parametrize(
+        "n, m, p1, p2, paths",
+        [
+            (8, 3, Fraction(1, 3), Fraction(1, 2), "narrow"),  # k = 36, one panel for Fractions
+            (7, 2, 0.3, 0.5, "narrow"),  # k = 20 <= 2 * 16
+            (8, 2, 0.3, 0.5, "wide"),  # k = 36: one wide panel of 16, then 20 on q itself
+            (12, 2, 0.3, 0.5, "wide"),  # k = 352: 20 wide panels of 16, then 32
+            (12, 4, 1e-12, 1e-12, "wide"),
+            (14, 3, 0.3, 0.5, "wide"),  # k = 1182: width 36, 31 wide panels, then 66
+        ],
+        ids=["exact-k36", "float-k20", "float-k36", "float-k352", "float-tiny-k352", "float-k1182"],
+    )
+    def test_width_rule_equals_unblocked_loop(self, n, m, p1, p2, paths):
+        q = lumped_q(build_matrix(ModelParams(n, m, p1, p2)))
+        width = nedpca.solver._width(q)
+        assert (len(q) > 2 * width) == (paths == "wide")
+        blocked, reference = nedpca.solver._reduce(q.copy()), unblocked_reduce(q.copy())
+        if q.dtype == object:
+            assert (blocked == reference).all()
+        else:
+            assert np.max(np.abs(blocked - reference) / reference) < 1e-13
 
     @pytest.mark.parametrize("block", [1, 7, None], ids=["block1", "block7", "rows3"])
     @pytest.mark.parametrize("n", [5, 8])
@@ -283,20 +326,30 @@ class TestBuildAndSolve:
         assert balance_residual(table, matrix) == 0
 
     def test_float_cap(self):
-        with pytest.raises(BudgetExceeded):
-            build_matrix(ModelParams(17, 2, 0.3, 0.5))
+        # the byte budget: (16, 2) stores 43M entries, and from n = 17 Q and one product
+        # temporary take 1.0 GB
+        for n, m in [(16, 2), (17, 3), (17, 17)]:
+            with pytest.raises(BudgetExceeded):
+                build_matrix(ModelParams(n, m, 0.3, 0.5))
 
     def test_float_cap_refuses_before_allocating(self, monkeypatch):
-        for name in ("empty", "zeros", "full"):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.empty called past the byte budget")
 
-            def refuse(*args, name=name, **kwargs):
-                raise AssertionError(f"numpy.{name} called past the float cap")
-
-            monkeypatch.setattr(np, name, refuse)
-        with pytest.raises(BudgetExceeded) as info:
-            build_matrix(ModelParams(14, 3, 0.3, 0.5))
-        message = str(info.value)
-        assert "n=14" in message and "cap 13" in message and f"up to {16 * 3**14} bytes" in message
+        monkeypatch.setattr(np, "empty", refuse)  # keys and vals
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as info:
+                build_matrix(ModelParams(16, 2, 0.3, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        build, solve, audit = nedpca.solver._shares(16, 43046721)  # 3**16 stored entries
+        assert str(info.value) == (
+            f"n=16, m=2 needs about {build + solve + audit} bytes, over the budget {nedpca.solver.BYTE_BUDGET}:"
+            f" build {build} (43046721 stored entries), solve {solve}, audit {audit}"
+        )
+        assert peak < 0.05 * 16 * 3**16  # the per-state masks alone
 
     @pytest.mark.parametrize("m, share", [(2, 0.25), (4, 0.05)])
     def test_build_makes_no_dense_array(self, m, share):
@@ -308,6 +361,39 @@ class TestBuildAndSolve:
         finally:
             tracemalloc.stop()
         assert peak < share * 8 * 4**12
+
+    @pytest.mark.parametrize("n, m", [(13, 2), (14, 3)])
+    def test_each_stage_fits_its_share_of_the_budget(self, n, m):
+        # (13, 2) stores the most entries below n = 14, and (14, 3) lumps 1182 orbits
+        def peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        matrix, build = peak(lambda: build_matrix(ModelParams(n, m, 0.3, 0.5)))
+        table, solve = peak(lambda: solve_stationary(matrix))
+        _, audit = peak(lambda: audit_detailed_balance(table, matrix))
+        _, residual = peak(lambda: balance_residual(table, matrix))
+        shares = nedpca.solver._shares(n, len(matrix.keys))
+        assert all(peak < share for peak, share in zip((build, solve, audit), shares)), (build, solve, audit)
+        assert residual < nedpca.solver._RUN_BYTES
+
+    def test_n14_m3_matches_the_closed_form(self):
+        # 710647 stored entries, 1182 orbits in 31 wide panels of 36, then 66 reduced on q
+        params = ModelParams(14, 3, 0.3, 0.5)
+        matrix = build_matrix(params)
+        table = solve_stationary(matrix)
+        probs = np.asarray(table.probs)
+        expected = np.asarray(stationary_table_formula(params).probs)
+        assert check_irreducible_aperiodic(matrix)
+        assert np.max(np.abs(probs - expected) / expected) < 1e-13
+        # the closed form's own table reads 1.1e-14 here too
+        assert balance_residual(table, matrix) < 1e-13
+        audit = audit_detailed_balance(table, matrix)
+        assert audit.max_violation > 1e-6
+        assert [c.to_string() for c in audit.witness] == ["10000000000000", "00100000000000"]
 
     def test_rational_cap(self):
         with pytest.raises(BudgetExceeded):
@@ -430,38 +516,55 @@ class TestRotationLumping:
         assert (probs >= 0).all()
         assert np.max(np.abs(probs - expected) / expected) < 1e-12
 
-    def test_float_overflow_names_the_point(self):
-        # pi(0^n) / pi(010101) is about 6e-899, past the float range
-        with pytest.raises(SolveFailed, match=r"n=6, m=2, p1=0\.5, p2=1e-300"):
-            solve_stationary(build_matrix(ModelParams(6, 2, 0.5, 1e-300)))
+    @pytest.mark.parametrize(
+        "n, m, p1, p2", [(6, 2, 0.5, 1e-300), (8, 2, 0.5, 1e-300), (8, 3, 0.5, 1e-300), (10, 2, 0.9, 1e-200)]
+    )
+    def test_masses_past_the_float_range_answer(self, n, m, p1, p2):
+        # pi(0^n) / pi(010101) is about 6e-899 at the first point: mu from mu_0 = 1 would
+        # overflow, so the back-substitution rescales it as it goes
+        probs = np.asarray(solve_stationary(build_matrix(ModelParams(n, m, p1, p2))).probs)
+        exact = stationary_table_formula(ModelParams(n, m, Fraction(p1), Fraction(p2))).probs
+        expected = np.array([float(x) for x in exact])
+        assert (probs >= 0).all() and math.fsum(probs) == pytest.approx(1.0)
+        big = expected > 1e-300
+        assert np.max(np.abs(probs[big] - expected[big]) / expected[big]) < 1e-12
 
-    def test_float_overflow_in_the_panel_product_names_the_point(self, monkeypatch):
-        # n = 4 has orbits {0}, {1, 2, 4, 8}, {3, ...}, {5, 10}, {7, ...}, {15}. Orbits
-        # 1..3 go to 0^n and orbits 4 and 5 to orbit 1, while 0^n sends 1.6e308 and 1e308
-        # to orbits 4 and 5: the panel of orbits 4 and 5 adds both into q[0, 1] in one
-        # product, and the sum inside it overflows
-        monkeypatch.setattr(nedpca.solver, "_PANEL", 2)
-        params = ModelParams(4, 2, 0.3, 0.5)
-        entries = np.zeros((16, 16))
-        entries[[1, 2, 3, 4, 5, 6, 8, 9, 10, 12], 0] = 1.0
-        entries[np.ix_([7, 11, 13, 14, 15], [1, 2, 4, 8])] = 0.25
-        entries[0, [7, 11, 13, 14]], entries[0, 15] = 4e307, 1e308
-        with pytest.raises(SolveFailed, match=r"overflows a float at .*n=4, m=2, p1=0\.3, p2=0\.5") as failed:
+    def test_ordinary_points_never_rescale(self, monkeypatch):
+        # mu stays far below the rescale threshold, so the bits are those of mu_0 = 1
+        for n, m in [(10, 2), (12, 3), (13, 5)]:
+            matrix = build_matrix(ModelParams(n, m, 0.3, 0.5))
+            default = solve_stationary(matrix).probs
+            monkeypatch.setattr(nedpca.solver, "_RESCALE", math.inf)
+            assert solve_stationary(matrix).probs == default, (n, m)
+            monkeypatch.undo()
+
+    def test_float_overflow_in_the_panel_product_names_the_point(self):
+        # n = 8 has 36 orbits, so the width rule gives one wide panel, orbits 20..35.
+        # Orbits 34 ({127, ...}) and 35 ({255}) go to orbit 1 and every other one to
+        # 0^n, while 0^n sends 1e308 to each of them: the Schur product adds both into
+        # q[0, 1] in one sum, and the sum overflows
+        params = ModelParams(8, 2, 0.3, 0.5)
+        sevens = [ror(127, t, 8) for t in range(8)]
+        entries = np.zeros((256, 256))
+        entries[:, 0] = 1.0
+        entries[sevens + [0, 255], 0] = 0.0
+        entries[sevens + [255], 1] = 1.0
+        entries[0, sevens], entries[0, 255] = 1.25e307, 1e308
+        with pytest.raises(SolveFailed, match=r"overflows a float at .*n=8, m=2, p1=0\.3, p2=0\.5") as failed:
             solve_stationary(TransitionMatrix.from_dense(params, entries))
         assert str(failed.value.__context__) == "overflow encountered in matmul"
 
     @pytest.mark.parametrize(
-        "params, width, dead",
+        "params, dead",
         [
-            (ModelParams(8, 2, 0.3, 0.5), nedpca.solver._PANEL, 10),  # panel 2 of 3
-            (ModelParams(8, 2, 0.3, 0.5), nedpca.solver._PANEL, 2),  # panel 3 of 3
-            (ModelParams(6, 2, Fraction(1, 3), Fraction(1, 2)), 4, 3),  # panel 3 of 4
+            (ModelParams(10, 2, 0.3, 0.5), 30),  # k = 108: wide panel 5 of 5, orbits 28..43
+            (ModelParams(10, 2, 0.3, 0.5), 12),  # the rest, orbits 27..1, reduced on q itself
+            (ModelParams(6, 2, Fraction(1, 3), Fraction(1, 2)), 3),  # the one Fraction panel
         ],
-        ids=["float-orbit10", "float-orbit2", "exact-orbit3"],
+        ids=["float-orbit30", "float-orbit12", "exact-orbit3"],
     )
-    def test_dead_orbit_in_a_late_panel_is_named(self, monkeypatch, params, width, dead):
+    def test_dead_orbit_in_a_late_panel_is_named(self, params, dead):
         # every state of orbit `dead` holds itself, so the orbit never reaches a lower one
-        monkeypatch.setattr(nedpca.solver, "_PANEL", width)
         orbit = rotation_orbits(params.n)
         rep = sorted(set(orbit))[dead]
         entries = build_matrix(params).entries.copy()
@@ -475,14 +578,18 @@ class TestRotationLumping:
 
 
 def dense_audit(table, matrix):
-    """Reference fold: the whole flow gap at once, first maximum in row-major order."""
+    """Reference fold: the whole flow gap at once. The witness is the first pair
+    a != b in row-major order whose gap is within _TIE_ULPS ulps of its larger
+    product below the maximum, or (0, 0) if every gap is 0."""
     p = np.asarray(matrix.entries, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
-    gap = pi[:, None] * p
-    gap -= gap.T
-    np.abs(gap, out=gap)
-    a, b = np.unravel_index(int(np.argmax(gap)), gap.shape)
-    return float(gap[a, b]), (int(a), int(b))
+    x = pi[:, None] * p
+    gap = np.abs(x - x.T)
+    reach = gap + nedpca.solver._TIE_ULPS * np.finfo(float).eps * np.maximum(x, x.T)
+    np.fill_diagonal(reach, 0.0)
+    worst = gap.max()
+    a, b = divmod(int(np.flatnonzero(reach >= worst)[0]), len(pi)) if worst > 0 else (0, 0)
+    return float(worst), (a, b)
 
 
 def audit_key(audit):
@@ -627,6 +734,34 @@ class TestBalanceAudits:
         assert mixed_blocks(matrix, block) > 0
         monkeypatch.setattr(nedpca.solver, "_BLOCK", block)
         assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(table, matrix)
+
+    @pytest.mark.parametrize(
+        "params, witness",
+        [
+            (ModelParams(11, 5, 0.9, 0.2), ("10000000000", "01111111000")),
+            (ModelParams(12, 2, 1e-30, 1e-30), ("100000000000", "010000000000")),
+        ],
+        ids=["n11-m5", "n12-tiny"],
+    )
+    def test_witness_survives_the_solves_rounding(self, monkeypatch, params, witness):
+        # rotations of one pair tie exactly, and each table rounds their gaps apart by a
+        # few ulps of the products; the smallest tied pair is the witness of every table
+        matrix = build_matrix(params)
+        tables = [
+            solve_stationary(matrix),
+            lumped_table(matrix, unblocked_reduce),
+            StationaryTable(params, tuple(map(float, stationary_table_formula(params).probs))),
+        ]
+        for width in (5, 7):
+            monkeypatch.setattr(nedpca.solver, "_width", lambda q, width=width: width)
+            tables.append(solve_stationary(matrix))
+        assert len({t.probs for t in tables}) >= 3
+        for table in tables:
+            audit = audit_detailed_balance(table, matrix)
+            assert tuple(c.to_string() for c in audit.witness) == witness
+        # compared exactly, as the tie rule did before, the witness moves with the rounding
+        monkeypatch.setattr(nedpca.solver, "_TIE_ULPS", 0)
+        assert len({audit_key(audit_detailed_balance(t, matrix)) for t in tables}) > 1
 
     def test_audit_peak_is_near_the_stored_entries(self):
         # the densest pattern, 3**12 entries, symmetric: every mirror is read by rank
