@@ -14,12 +14,14 @@ submasks b of its vacancy mask v, and nothing is ever 4**n wide. Every check
 reads the one TransitionMatrix its caller built in flat runs of _BLOCK stored
 entries (in storage order, or the audit's column-major ranks), in cache. A
 float request is sized in bytes before anything is allocated: the stored
-entries, the lumped matrix and the audit's order must fit BYTE_BUDGET.
+entries, the lumped matrix and the audit's order must fit BYTE_BUDGET, and
+the part that depends on n alone is checked before any per-state array.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -108,7 +110,8 @@ def _shares(n: int, stored: int) -> tuple[int, int, int]:
     stored entries at 16 bytes each, Q and one panel-product temporary at 8 k**2 each
     (k rotation orbits), the audit's column-major order at 10 bytes per entry (with
     its uint16 sort key), each stage's per-state arrays, and one run's temporaries."""
-    k = sum(2 ** math.gcd(t, n) for t in range(n)) // n  # rotation orbits, by Burnside's lemma
+    # rotation orbits, by Burnside's lemma, summed over the distinct gcd(t, n)
+    k = sum(c << g for g, c in Counter(math.gcd(t, n) for t in range(n)).items()) // n
     per_state, run = (16 * n + 64) << n, _RUN_BYTES
     return 16 * stored + per_state + run, 16 * k * k + per_state + run, 10 * stored + run
 
@@ -128,14 +131,22 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     Raises:
         BudgetExceeded: when n exceeds RATIONAL_CAP for exact fractions, or
             when the stored entries, the solve and the audit, by _shares, would
-            take more than BYTE_BUDGET bytes; checked before keys and vals are
-            allocated.
+            take more than BYTE_BUDGET bytes; checked before any per-state
+            array is allocated (which refuses every n >= 17), and again from
+            the stored count before keys and vals are.
     """
     if params.exact and params.n > RATIONAL_CAP:
         raise BudgetExceeded(f"n={params.n} exceeds the rational cap {RATIONAL_CAP}")
     dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
     p1, p2 = params.p1, params.p2
     stay, fill = np.array([1 - p1, p2], dtype=dtype), np.array([p1, 1 - p2], dtype=dtype)
+    least = sum(_shares(params.n, 0))  # every share but the stored entries' depends on n alone
+    if least > BYTE_BUDGET:
+        quoted = least if least < 1 << 64 else f"2**{least.bit_length() - 1}"  # from n = 36, in powers of 2
+        raise BudgetExceeded(
+            f"n={params.n}, m={params.m} needs at least {quoted} bytes"
+            f" before any stored entry, over the budget {BYTE_BUDGET}"
+        )
     ns = params.n_states
     open_mask, blocked_mask = window_masks(np.arange(ns, dtype=np.int64), params)
     vacant = ((open_mask | blocked_mask)[:, None] >> np.arange(params.n)) & 1
@@ -313,16 +324,20 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
     max_violation is the exact maximum. The witness is the smallest (min(a, b),
     max(a, b)) among the pairs a != b whose gap is within _TIE_ULPS ulps of the
     larger of its two products below it (rounding alone can part pairs whose
-    gaps tie, such as rotations of one pair), or (0^n, 0^n) if every gap is 0.
+    gaps tie, such as rotations of one pair). When the maximum is below twice
+    the largest such tolerance, every gap may be rounding alone (a reversible
+    chain), and the witness is the smallest pair a != b with a positive flow
+    either way; it is (0^n, 0^n) if every gap is 0.
     """
     _check_consistent(table, matrix)
     n, ns, keys = matrix.params.n, matrix.params.n_states, matrix.keys
     p = np.asarray(matrix.vals, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
     tie = _TIE_ULPS * np.finfo(float).eps
-    slack = 2 * tie * pi.max() * p.max()  # bounds every pair's tie tolerance
+    slack = 2 * tie * pi.max() * p.max()  # twice the largest tie tolerance of any pair
     by_col = np.argsort((keys & (ns - 1)).astype(np.uint16), kind="stable")  # a radix sort (n <= 16)
-    worst, pairs, reach = 0.0, np.zeros(0, dtype=np.int64), np.zeros(0)  # tie candidates
+    worst, smallest = 0.0, ns * ns  # and the smallest pair with a flow, while worst < slack
+    pairs, reach = np.zeros(0, dtype=np.int64), np.zeros(0)  # tie candidates, once worst >= slack / 2
     for lo in range(0, len(keys), _BLOCK):
         at, run = by_col[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
         key = keys[at]
@@ -336,6 +351,13 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
             back[miss] = np.where(keys[found] == mirror[miss], p[found], 0.0)
         gap = np.abs(pi[a] * p[at] - pi[b] * back)
         worst = max(worst, float(gap.max()))
+        if worst < slack:
+            flow = np.flatnonzero((a != b) & ((pi[a] * p[at] > 0) | (pi[b] * back > 0)))
+            if len(flow):
+                a_f, b_f = a[flow], b[flow]
+                smallest = min(smallest, int(np.min(np.minimum(a_f, b_f) * ns + np.maximum(a_f, b_f))))
+        if worst < slack / 2:
+            continue  # a gap of this run within its tolerance of a maximum >= slack would exceed slack / 2
         near = np.flatnonzero(gap >= worst - slack)
         a, b, ab, ba = a[near], b[near], p[at[near]], back[near]
         low = np.minimum(a, b) * ns + np.maximum(a, b)
@@ -349,7 +371,7 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
         pairs, reach = pairs[order], reach[order]
         keep = (reach >= worst) & (reach > np.maximum.accumulate(np.concatenate([[-1.0], reach[:-1]])))
         pairs, reach = pairs[keep], reach[keep]
-    a, b = divmod(int(pairs[0]) if worst > 0 else 0, ns)
+    a, b = divmod(int(pairs[0]) if worst >= slack else smallest if worst > 0 else 0, ns)
     return BalanceAudit(max_violation=worst, witness=(Configuration(a, n), Configuration(b, n)))
 
 

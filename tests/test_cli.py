@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nedpca.acceptance
@@ -511,6 +512,22 @@ class TestConfigAndErrors:
         assert re.fullmatch(
             r"error: n=16, m=2 needs about \d+ bytes, over the budget 1073741824:"
             r" build \d+ \(43046721 stored entries\), solve \d+, audit \d+\n",
+            err,
+        )
+
+    def test_float_budget_exit_far_past_the_budget(self, capsys, monkeypatch):
+        # refused from n alone, before any per-state array
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.arange called past the byte budget")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        code, out, err = run_cli(
+            capsys, "exact", "-n", "40", "-m", "3", "--p1", "0.3", "--p2", "0.5"
+        )
+        assert (code, out) == (3, "")
+        assert re.fullmatch(
+            r"error: n=40, m=3 needs at least 2\*\*\d+ bytes before any stored entry,"
+            r" over the budget 1073741824\n",
             err,
         )
 

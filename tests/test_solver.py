@@ -351,6 +351,31 @@ class TestBuildAndSolve:
         )
         assert peak < 0.05 * 16 * 3**16  # the per-state masks alone
 
+    @pytest.mark.parametrize("n", [17, 35, 36, 10**5])
+    def test_budget_refuses_before_any_per_state_array(self, monkeypatch, n):
+        # the shares that depend on n alone exceed the budget from n = 17
+        for name in ("arange", "empty", "zeros", "full"):
+
+            def refuse(*args, name=name, **kwargs):
+                raise AssertionError(f"numpy.{name} called past the byte budget")
+
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(BudgetExceeded) as info:
+            build_matrix(ModelParams(n, 3, 0.3, 0.5))
+        least = sum(nedpca.solver._shares(n, 0))
+        assert least > nedpca.solver.BYTE_BUDGET
+        assert str(info.value) == (
+            f"n={n}, m=3 needs at least {least if n < 36 else f'2**{least.bit_length() - 1}'} bytes"
+            f" before any stored entry, over the budget {nedpca.solver.BYTE_BUDGET}"
+        )
+
+    def test_solve_share_counts_the_rotation_orbits(self):
+        # Q and one product temporary, 8 k**2 each, besides the per-state arrays and one run
+        for n in range(1, 13):
+            k = len(set(rotation_orbits(n)))
+            per_state = (16 * n + 64) << n
+            assert nedpca.solver._shares(n, 0)[1] == 16 * k * k + per_state + nedpca.solver._RUN_BYTES
+
     @pytest.mark.parametrize("m, share", [(2, 0.25), (4, 0.05)])
     def test_build_makes_no_dense_array(self, m, share):
         # the stored entries are 3**12 at m = 2 and 39k at m = 4, against 4**12
@@ -580,15 +605,18 @@ class TestRotationLumping:
 def dense_audit(table, matrix):
     """Reference fold: the whole flow gap at once. The witness is the first pair
     a != b in row-major order whose gap is within _TIE_ULPS ulps of its larger
-    product below the maximum, or (0, 0) if every gap is 0."""
+    product below the maximum; when the maximum is below twice the largest such
+    tolerance, the first with a positive flow either way; (0, 0) if every gap is 0."""
     p = np.asarray(matrix.entries, dtype=float)
     pi = np.asarray(table.probs, dtype=float)
     x = pi[:, None] * p
     gap = np.abs(x - x.T)
-    reach = gap + nedpca.solver._TIE_ULPS * np.finfo(float).eps * np.maximum(x, x.T)
+    tie = nedpca.solver._TIE_ULPS * np.finfo(float).eps
+    reach = gap + tie * np.maximum(x, x.T)
     np.fill_diagonal(reach, 0.0)
     worst = gap.max()
-    a, b = divmod(int(np.flatnonzero(reach >= worst)[0]), len(pi)) if worst > 0 else (0, 0)
+    hit = reach >= worst if worst >= 2 * tie * pi.max() * p.max() else reach > 0
+    a, b = divmod(int(np.flatnonzero(hit)[0]), len(pi)) if worst > 0 else (0, 0)
     return float(worst), (a, b)
 
 
@@ -762,6 +790,42 @@ class TestBalanceAudits:
         # compared exactly, as the tie rule did before, the witness moves with the rounding
         monkeypatch.setattr(nedpca.solver, "_TIE_ULPS", 0)
         assert len({audit_key(audit_detailed_balance(t, matrix)) for t in tables}) > 1
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_reversible_witness_is_the_smallest_flow_pair(self, monkeypatch, n):
+        # p1 + p2 = 1 at m = 2 is reversible: every gap is rounding, under the tie slack,
+        # and the witness is 0^n -> 0^(n-1)1, the smallest pair with a flow, for every table
+        params = ModelParams(n, 2, 0.3, 0.7)
+        matrix = build_matrix(params)
+        tables = [
+            solve_stationary(matrix),
+            lumped_table(matrix, unblocked_reduce),
+            StationaryTable(params, tuple(map(float, stationary_table_formula(params).probs))),
+        ]
+        for width in (5, 7):
+            monkeypatch.setattr(nedpca.solver, "_width", lambda q, width=width: width)
+            tables.append(solve_stationary(matrix))
+        for table in tables:
+            audit = audit_detailed_balance(table, matrix)
+            assert audit.max_violation < 1e-16
+            assert audit_key(audit) == dense_audit(table, matrix)
+            assert audit_key(audit)[1] == (0, 1)
+
+    @pytest.mark.parametrize("block", [24, nedpca.solver._BLOCK])
+    def test_late_violation_after_rounding_only_runs(self, monkeypatch, block):
+        # a reversible matrix with one late pair's backward entry halved: the runs before
+        # it hold rounding alone, below half the slack, and take no tie candidates
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", block)
+        params = ModelParams(8, 2, 0.3, 0.7)
+        matrix = build_matrix(params)
+        table = solve_stationary(matrix)
+        entries = matrix.entries.copy()
+        a, b = np.argwhere(np.triu((entries > 0) & (entries.T > 0), 1))[-1]  # the last such pair, a < b
+        entries[b, a] /= 2
+        broken = TransitionMatrix.from_dense(params, entries)
+        audit = audit_key(audit_detailed_balance(table, broken))
+        assert audit == dense_audit(table, broken)
+        assert audit[0] > 1e-6 and audit[1] == (a, b)
 
     def test_audit_peak_is_near_the_stored_entries(self):
         # the densest pattern, 3**12 entries, symmetric: every mirror is read by rank
