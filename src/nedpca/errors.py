@@ -26,10 +26,11 @@ class BudgetExceeded(NedpcaError):
 class SolveFailed(NedpcaError):
     """The stationary solve met a reducible lumped chain, or a float over- or underflowed.
 
-    The solve presumes that P commutes with rotating the ring, as every built
-    matrix does. For valid parameters the chain is then ergodic, so a reducible
-    chain signals an escape from validation (or a hand-built matrix); on a float
-    matrix that passes the ergodicity certificate, it is an underflow instead.
+    The solve reads only the rotation orbits' representatives' rows, which is
+    exact when P commutes with rotating the ring, as every built matrix does. For
+    valid parameters the chain is then ergodic, so a reducible chain signals an
+    escape from validation (or a hand-built matrix); on a float matrix that passes
+    the ergodicity certificate, it is an underflow instead.
     """
 
 

@@ -1,21 +1,12 @@
-"""Finite-state reference: sparse transition matrix, stationary solve, audits.
+"""Finite-state reference: the one-step law on rotation orbits, stationary solve, audits.
 
-Everything here enumerates the full state space 2**n, so it only scales to
-small rings, but it makes no appeal to any closed form: the stationary vector
-comes out of a GTH state reduction, lumped onto rotation orbits by a symmetry
-of the transition law alone. That is what lets the analytic evaluators
-elsewhere in the package be checked against an independent computation. The
-reduction censors orbits in panels whose width grows with the orbit count:
-each orbit's elimination touches only a small work block, and each panel
-reaches the rest of the lumped matrix in three matrix products.
-
-P is stored as ascending keys a * 2**n + b: row a holds the 2**popcount(v)
-submasks b of its vacancy mask v, and nothing is ever 4**n wide. Every check
-reads the one TransitionMatrix its caller built in flat runs of _BLOCK stored
-entries (in storage order, or the audit's column-major ranks), in cache. A
-float request is sized in bytes before anything is allocated: the stored
-entries, the lumped matrix and the audit's order must fit BYTE_BUDGET, and
-the part that depends on n alone is checked before any per-state array.
+P commutes with rotating the ring, so the chain lumps exactly onto rotation
+orbits (Kemeny & Snell 1960, sec. 6.3), and every check reads only the orbit
+representatives' rows, about 2**n / n of them, as ascending keys a * 2**n + b
+(the submasks b of a's vacancy mask) in flat runs of _BLOCK entries. No closed
+form is used: pi comes out of a GTH state reduction of the lumped chain, in
+panels each eliminated in a small work block. A float request is sized in
+bytes against BYTE_BUDGET before anything is allocated.
 """
 
 from __future__ import annotations
@@ -46,13 +37,14 @@ __all__ = [
     "one_directional_pair",
 ]
 
-# Bytes a report may need, by _shares: n = 16 fits at m >= 3 (0.49 GB at
-# m = 3), and (16, 2), whose 43M stored entries alone take 0.69 GB, does not.
+# Bytes a report may need, by _shares: n = 16 fits at every m (0.44 GB at m = 2),
+# and n = 17 does not (1.09 GB before any stored entry, 0.95 GB of it Q and one product).
 BYTE_BUDGET = 1 << 30
 # Exact mode pays for Fraction products, the solve and the residual: ~0.3-0.7 s per report at n = 9.
 RATIONAL_CAP = 9
 _BLOCK = 1 << 17  # stored entries per build block, and per run of each pass over them
 _RUN_BYTES = 128 * _BLOCK  # one run's temporaries: up to sixteen arrays of 8-byte items
+_PROCESS_BYTES = 32 << 20  # the interpreter, numpy and this package: `exact -n 4` peaks at 31 MB RSS
 _RESCALE = 1e100  # the back-substitution rescales mu once an orbit's mass exceeds this
 _TIE_ULPS = 16  # audit gaps this many ulps of the larger product below the maximum tie with it
 
@@ -62,22 +54,21 @@ _TIE_ULPS = 16  # audit gaps this many ulps of the larger product below the maxi
 
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
-    """One-step matrix P as its stored entries in row-major order.
+    """One-step matrix P as the rows of its rotation orbits' representatives.
 
-    P[a -> b] = vals[j] where keys[j] = a * 2**n + b; the int64 keys strictly
-    ascend, and every entry not stored is zero. The values are float64, or
-    Python Fractions in an object array when the parameters are exact.
+    reps are the orbits' smallest codes, ascending, orbit[s] is state s's orbit
+    and sizes[i] orbit i's state count. For a in reps, P[a -> b] = vals[j] where
+    keys[j] = a * 2**n + b, strictly ascending int64; every entry not stored is
+    zero, and every other row is its representative's, rotated. The values are
+    float64, or Python Fractions in an object array when the parameters are exact.
     """
 
     params: ModelParams
     keys: np.ndarray
     vals: np.ndarray
-
-    @classmethod
-    def from_dense(cls, params: ModelParams, entries: np.ndarray) -> TransitionMatrix:
-        """The nonzeros of a dense array entries[a, b] = P[a -> b]."""
-        keys = np.flatnonzero(entries)
-        return cls(params, keys, entries.flat[keys])
+    reps: np.ndarray
+    orbit: np.ndarray
+    sizes: np.ndarray
 
     @property
     def exact(self) -> bool:
@@ -85,11 +76,11 @@ class TransitionMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """Read-only dense view, entries[a, b] = P[a -> b], made on first use."""
-        ns = self.params.n_states
-        zero = Fraction(0) if self.vals.dtype == object else 0.0
-        dense = np.full((ns, ns), zero, dtype=self.vals.dtype)
-        dense.flat[self.keys] = self.vals
+        """Read-only dense view, entries[a, b] = P[a -> b], made on first use by
+        rotating the stored rows."""
+        ns, (keys, vals) = self.params.n_states, _every_row(self)
+        dense = np.full((ns, ns), Fraction(0) if vals.dtype == object else 0.0, dtype=vals.dtype)
+        dense.flat[keys] = vals
         dense.flags.writeable = False
         return dense
 
@@ -102,22 +93,43 @@ class BalanceAudit:
     witness: tuple[Configuration, Configuration]
 
 
+def _every_row(matrix: TransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    # every row's keys, ascending, and values: the stored rows rotated by t = 0..n-1;
+    # where a rotation repeats a stored row (an orbit smaller than n), t = 0 wins
+    n = matrix.params.n
+    a, b = matrix.keys >> n, matrix.keys & (matrix.params.n_states - 1)
+    rotated = np.concatenate([ror(a, t, n) << n | ror(b, t, n) for t in range(n)])
+    keys, first = np.unique(rotated, return_index=True)
+    return keys, np.tile(matrix.vals, n)[first]
+
+
 # ---- Matrix construction ----
 
 
 def _shares(n: int, stored: int) -> tuple[int, int, int]:
-    """Bytes the build, the solve and the audit of a float report may allocate: the
-    stored entries at 16 bytes each, Q and one panel-product temporary at 8 k**2 each
-    (k rotation orbits), the audit's column-major order at 10 bytes per entry (with
-    its uint16 sort key), each stage's per-state arrays, and one run's temporaries."""
+    """Bytes the build, the solve and the audit of a float report may hold: the process
+    and 16 per stored entry; Q, the Schur product and the scaled panel rows, 8 k (2k + b)
+    for k orbits in panels of b = _width; 8 per stored entry; and in each, 96 per state
+    (the report's two tables of Python floats among them) and one run's temporaries."""
     # rotation orbits, by Burnside's lemma, summed over the distinct gcd(t, n)
     k = sum(c << g for g, c in Counter(math.gcd(t, n) for t in range(n)).items()) // n
-    per_state, run = (16 * n + 64) << n, _RUN_BYTES
-    return 16 * stored + per_state + run, 16 * k * k + per_state + run, 10 * stored + run
+    each = (96 << n) + _RUN_BYTES
+    return _PROCESS_BYTES + 16 * stored + each, 8 * k * (2 * k + max(16, k >> 5)) + each, 8 * stored + each
+
+
+def _orbits(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # each orbit's smallest code, each state's orbit index, and each orbit's size
+    codes = np.arange(1 << n, dtype=np.int64)
+    least = codes.copy()
+    for t in range(1, n):
+        np.minimum(least, ror(codes, t, n), out=least)
+    reps = np.flatnonzero(least == codes)
+    orbit = np.searchsorted(reps, least)
+    return reps, orbit, np.bincount(orbit)
 
 
 def build_matrix(params: ModelParams) -> TransitionMatrix:
-    """Every row P[a -> .], as a product of independent site factors.
+    """Each representative's row P[a -> .], as a product of independent site factors.
 
     Row a's support is the submasks of its vacancy mask open | blocked; a
     forced site becomes 0 with probability 1. For a block of rows
@@ -125,50 +137,49 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
     new value at the row's t-th vacancy: once bits 0..t-1 are placed, columns
     0..2**t-1 hold the partial products, and bit t copies them times its fill
     factor into 2**t..2**(t+1)-1, then scales them by its stay factor. The
-    products run over the vacancies in ascending site order, so each is the
-    dense site-by-site product without its exact factors of 1.
+    products run over the vacancies in ascending site order, so each is
+    transition_prob's site-by-site product without its exact factors of 1.
 
     Raises:
-        BudgetExceeded: when n exceeds RATIONAL_CAP for exact fractions, or
-            when the stored entries, the solve and the audit, by _shares, would
-            take more than BYTE_BUDGET bytes; checked before any per-state
-            array is allocated (which refuses every n >= 17), and again from
-            the stored count before keys and vals are.
+        BudgetExceeded: when n exceeds RATIONAL_CAP for exact fractions, or when
+            the report would take more than BYTE_BUDGET bytes by _shares: checked
+            before any per-state array (which refuses every n >= 17), and again
+            from the stored count before keys and vals are allocated.
     """
     if params.exact and params.n > RATIONAL_CAP:
         raise BudgetExceeded(f"n={params.n} exceeds the rational cap {RATIONAL_CAP}")
     dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
-    p1, p2 = params.p1, params.p2
+    p1, p2, n = params.p1, params.p2, params.n
     stay, fill = np.array([1 - p1, p2], dtype=dtype), np.array([p1, 1 - p2], dtype=dtype)
-    least = sum(_shares(params.n, 0))  # every share but the stored entries' depends on n alone
+    least = sum(_shares(n, 0))  # every share but the stored entries' depends on n alone
     if least > BYTE_BUDGET:
         quoted = least if least < 1 << 64 else f"2**{least.bit_length() - 1}"  # from n = 36, in powers of 2
         raise BudgetExceeded(
-            f"n={params.n}, m={params.m} needs at least {quoted} bytes"
+            f"n={n}, m={params.m} needs at least {quoted} bytes"
             f" before any stored entry, over the budget {BYTE_BUDGET}"
         )
-    ns = params.n_states
-    open_mask, blocked_mask = window_masks(np.arange(ns, dtype=np.int64), params)
-    vacant = ((open_mask | blocked_mask)[:, None] >> np.arange(params.n)) & 1
-    count = vacant.sum(axis=1)
-    offset = np.zeros(ns + 1, dtype=np.int64)  # each row's first stored entry, and the total
+    reps, orbit, sizes = _orbits(n)
+    open_mask, blocked_mask = window_masks(reps, params)
+    vacant = open_mask | blocked_mask
+    count = np.bitwise_count(vacant).astype(np.int64)
+    offset = np.zeros(len(reps) + 1, dtype=np.int64)  # each row's first stored entry, and the total
     np.cumsum(1 << count, out=offset[1:])
-    shares = _shares(params.n, int(offset[-1]))
+    shares = _shares(n, int(offset[-1]))
     if sum(shares) > BYTE_BUDGET:
         raise BudgetExceeded(
-            f"n={params.n}, m={params.m} needs about {sum(shares)} bytes, over the budget {BYTE_BUDGET}:"
+            f"n={n}, m={params.m} needs about {sum(shares)} bytes, over the budget {BYTE_BUDGET}:"
             f" build {shares[0]} ({offset[-1]} stored entries), solve {shares[1]}, audit {shares[2]}"
         )
     keys, vals = np.empty(offset[-1], dtype=np.int64), np.empty(offset[-1], dtype=dtype)
-    for c in range(params.n + 1):
+    for c in range(n + 1):
         group = np.flatnonzero(count == c)
         step = max(1, _BLOCK >> c)  # rows per (rows, 2**c) block
         for start in range(0, len(group), step):
             rows = group[start : start + step]
-            site = np.nonzero(vacant[rows])[1].reshape(len(rows), c)  # ascending
+            site = np.nonzero((vacant[rows, None] >> np.arange(n)) & 1)[1].reshape(len(rows), c)  # ascending
             blocked = (blocked_mask[rows, None] >> site) & 1
             bit, s, f = 1 << site, stay[blocked], fill[blocked]
-            key = np.full((len(rows), 1 << c), rows[:, None] << params.n)  # column 0 holds a << n
+            key = np.full((len(rows), 1 << c), reps[rows, None] << n)  # column 0 holds a << n
             val = np.full((len(rows), 1 << c), one, dtype=dtype)  # and the empty product 1
             for t in range(c):
                 low, high = slice(0, 1 << t), slice(1 << t, 2 << t)
@@ -177,7 +188,7 @@ def build_matrix(params: ModelParams) -> TransitionMatrix:
                 val[:, low] *= s[:, t, None]
             at = offset[rows, None] + np.arange(1 << c)
             keys[at], vals[at] = key, val
-    return TransitionMatrix(params, keys, vals)
+    return TransitionMatrix(params, keys, vals, reps, orbit, sizes)
 
 
 # ---- Stationary solve ----
@@ -240,31 +251,22 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
     """Unique left fixed probability vector of the chain, by direct solve.
 
     P must commute with rotating the ring, as every build_matrix result does;
-    the chain then lumps exactly onto rotation orbits A (Kemeny & Snell 1960,
-    sec. 6.3), with Q[A, B] = sum over b in B of P[a, b] for any a in A,
-    scattered straight from the representatives' stored entries in ascending b.
-    One GTH state reduction of Q, in floats or Fractions alike, gives mu >= 0
-    even at tiny p1 and p2, and mu is rescaled as it is back-substituted, so
-    masses past the float range of pi(0^n) still answer; returns
-    pi(a) = mu(A) / |A|.
+    the chain then lumps onto rotation orbits A with Q[A, B] = sum over b in B
+    of P[a, b], a the representative of A, scattered straight from the stored
+    entries in ascending b. One GTH state reduction of Q, in floats or Fractions
+    alike, gives mu >= 0 even at tiny p1 and p2, rescaled as it is back-
+    substituted so that masses past the float range answer; pi(a) = mu(A) / |A|.
 
     Raises:
         SolveFailed: if the lumped chain is reducible (cannot happen for
             validated parameters), or a float overflows or underflows.
     """
-    n, ns, dtype = matrix.params.n, matrix.params.n_states, matrix.vals.dtype
-    codes = np.arange(ns, dtype=np.int64)
-    canon = np.minimum.reduce([ror(codes, t, n) for t in range(n)])
-    reps, orbit, sizes = np.unique(canon, return_inverse=True, return_counts=True)
-    k = len(reps)
+    n, ns, orbit, dtype = matrix.params.n, matrix.params.n_states, matrix.orbit, matrix.vals.dtype
+    k = len(matrix.reps)
     q = np.full((k, k), Fraction(0) if dtype == object else 0.0, dtype=dtype)
-    first, stop = np.searchsorted(matrix.keys, np.stack([reps, reps + 1]) << n)  # representatives' rows
-    end = np.cumsum(stop - first)  # where each representative's row ends in the walk over them
-    for lo in range(0, int(end[-1]), _BLOCK):  # Q[A, B] lands at A * k + B
-        j = np.arange(lo, min(lo + _BLOCK, int(end[-1])))
-        run = j + (stop - end)[np.searchsorted(end, j, side="right")]
-        key = matrix.keys[run]
-        np.add.at(q.reshape(-1), orbit[key >> n] * k + orbit[key & (ns - 1)], matrix.vals[run])
+    for lo in range(0, len(matrix.keys), _BLOCK):  # Q[A, B] lands at A * k + B
+        key = matrix.keys[lo : lo + _BLOCK]
+        np.add.at(q.reshape(-1), orbit[key >> n] * k + orbit[key & (ns - 1)], matrix.vals[lo : lo + _BLOCK])
     with np.errstate(over="raise", invalid="raise"):
         try:
             mu = _reduce(q)
@@ -274,7 +276,7 @@ def solve_stationary(matrix: TransitionMatrix) -> StationaryTable:
             if matrix.exact or not check_irreducible_aperiodic(matrix):
                 raise
             raise SolveFailed(f"stationary solve underflows a float at {matrix.params}") from None
-    pi = mu[orbit] / sizes.astype(dtype)[orbit]
+    pi = (mu / matrix.sizes.astype(dtype))[orbit]
     return StationaryTable(params=matrix.params, probs=tuple(pi.tolist()))
 
 
@@ -284,94 +286,89 @@ def check_irreducible_aperiodic(matrix: TransitionMatrix) -> bool:
     probability (aperiodicity). Read from which entries row 0 and column 0
     store, not their values: build_matrix stores there only products of p1,
     1 - p1 and p2, so an entry whose float underflows to 0.0 is still an edge."""
-    # keys are distinct, so 2**n keys below 2**n fill row 0, and 2**n with low bits 0 column 0
+    # keys are distinct: 2**n keys below 2**n fill row 0, and one key with low bits 0 per
+    # representative fills column 0, since 0^n is fixed by every rotation
     keys, ns = matrix.keys, matrix.params.n_states
     runs = range(0, len(keys), _BLOCK)
     column = sum(np.count_nonzero((keys[lo : lo + _BLOCK] & (ns - 1)) == 0) for lo in runs)
-    return bool(np.searchsorted(keys, ns) == column == ns)
+    return bool(np.searchsorted(keys, ns) == ns and column == len(matrix.reps))
 
 
-def _check_consistent(table: StationaryTable, matrix: TransitionMatrix) -> None:
+def _orbit_probs(table: StationaryTable, matrix: TransitionMatrix, dtype) -> np.ndarray:
+    # pi on each orbit, read at its representative: a table not constant on orbits is refused
     if table.params != matrix.params:
         raise DimensionMismatch("table and matrix were built from different parameters")
+    pi = np.asarray(table.probs, dtype=dtype)
+    rep = pi[matrix.reps]
+    if not (rep[matrix.orbit] == pi).all():
+        raise DimensionMismatch(f"table is not constant on rotation orbits at {matrix.params}")
+    return rep
 
 
 def balance_residual(table: StationaryTable, matrix: TransitionMatrix):
-    """Master-equation residual max_b |sum_a P[a->b] pi(a) - pi(b)|.
+    """Master-equation residual on the lumped chain, max_B |(mu Q)(B) / |B| - pi(B)|.
 
-    Each sum runs over the stored entries of column b in ascending a.
-    Exact (a Fraction) when both the matrix and the table are rational,
-    a float otherwise.
+    mu(A) = |A| pi(A), and (mu Q)(B) sums mu(A) P[a->b] over the stored entries
+    with b in B, in storage order: every b of B takes the same inflow, so this is
+    max_b |sum_a P[a->b] pi(a) - pi(b)|. Exact (a Fraction) when both the matrix
+    and the table are rational, a float otherwise. Raises DimensionMismatch if
+    the table is for other parameters, or is not constant on rotation orbits.
     """
-    _check_consistent(table, matrix)
     dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
-    pi = np.asarray(table.probs, dtype=dtype)
-    inflow, n = np.zeros(len(pi), dtype=dtype), matrix.params.n
+    pi = _orbit_probs(table, matrix, dtype)
+    mu, inflow = pi * matrix.sizes, np.zeros(len(pi), dtype=dtype)
+    n, ns, orbit = matrix.params.n, matrix.params.n_states, matrix.orbit
     for lo in range(0, len(matrix.keys), _BLOCK):
         key, run = matrix.keys[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
-        np.add.at(inflow, key & (len(pi) - 1), np.asarray(matrix.vals[run], dtype=dtype) * pi[key >> n])
-    worst = np.max(np.abs(inflow - pi))
+        np.add.at(inflow, orbit[key & (ns - 1)], np.asarray(matrix.vals[run], dtype=dtype) * mu[orbit[key >> n]])
+    worst = np.max(np.abs(inflow / matrix.sizes - pi))
     return worst if dtype is object else float(worst)
 
 
 def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> BalanceAudit:
-    """Exhaustive maximization of |pi(a)P[a->b] - pi(b)P[b->a]| over ordered pairs.
+    """Maximization of |pi(a)P[a->b] - pi(b)P[b->a]| over ordered pairs.
 
-    Only a pair with a stored entry either way can be nonzero, so the gap is
-    formed at each stored (a, b) in column-major order, where the mirror keys
-    b * 2**n + a ascend like the stored keys: P[b->a] is the entry of the same
-    rank if the pattern is symmetric (m = 2), and is searched for if not.
-    max_violation is the exact maximum. The witness is the smallest (min(a, b),
-    max(a, b)) among the pairs a != b whose gap is within _TIE_ULPS ulps of the
-    larger of its two products below it (rounding alone can part pairs whose
-    gaps tie, such as rotations of one pair). When the maximum is below twice
-    the largest such tolerance, every gap may be rounding alone (a reversible
-    chain), and the witness is the smallest pair a != b with a positive flow
-    either way; it is (0^n, 0^n) if every gap is 0.
+    Rotating a pair keeps its gap, and a pair with no stored entry either way
+    has none, so the gap is formed at each stored (a, b), a a representative,
+    with P[b->a] from b's open and blocked masks in four popcounts. The maximum
+    is within a few ulps of the maximum over all pairs, whose rotations round
+    apart. The witness is the smallest (min(a, b), max(a, b)) among the
+    rotations of the pairs a != b whose gap is within _TIE_ULPS ulps of its
+    larger product below the maximum; when the maximum is below twice the
+    largest such tolerance (every gap may be rounding, as on a reversible
+    chain), among those with a positive flow either way; (0^n, 0^n) if every
+    gap is 0. Raises DimensionMismatch as balance_residual does.
     """
-    _check_consistent(table, matrix)
-    n, ns, keys = matrix.params.n, matrix.params.n_states, matrix.keys
-    p = np.asarray(matrix.vals, dtype=float)
-    pi = np.asarray(table.probs, dtype=float)
+    pi, params, keys, orbit = _orbit_probs(table, matrix, float), matrix.params, matrix.keys, matrix.orbit
+    n, ns, p, p1, p2 = params.n, params.n_states, np.asarray(matrix.vals, dtype=float), params.p1, params.p2
+    # each site factor's powers 0..n, for the open sites that fill and stay, then the
+    # blocked ones; Fractions multiply exactly, so P[b->a] rounds once, as P[a->b] does
+    powers = np.array([p1, 1 - p1, 1 - p2, p2], dtype=matrix.vals.dtype)[:, None] ** np.arange(n + 1)
     tie = _TIE_ULPS * np.finfo(float).eps
     slack = 2 * tie * pi.max() * p.max()  # twice the largest tie tolerance of any pair
-    by_col = np.argsort((keys & (ns - 1)).astype(np.uint16), kind="stable")  # a radix sort (n <= 16)
-    worst, smallest = 0.0, ns * ns  # and the smallest pair with a flow, while worst < slack
-    pairs, reach = np.zeros(0, dtype=np.int64), np.zeros(0)  # tie candidates, once worst >= slack / 2
+    worst, reach = 0.0, np.empty(len(keys))  # and each pair's gap plus its tolerance, 0 at a = b
     for lo in range(0, len(keys), _BLOCK):
-        at, run = by_col[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
-        key = keys[at]
+        key, run = keys[lo : lo + _BLOCK], slice(lo, lo + _BLOCK)
         a, b = key >> n, key & (ns - 1)
-        mirror = b << n | a
-        same = keys[run] == mirror
-        back = np.where(same, p[run], 0.0)
-        if not same.all():
-            miss = np.flatnonzero(~same)
-            found = np.minimum(np.searchsorted(keys, mirror[miss]), len(keys) - 1)
-            back[miss] = np.where(keys[found] == mirror[miss], p[found], 0.0)
-        gap = np.abs(pi[a] * p[at] - pi[b] * back)
+        opened, blocked = window_masks(b, params)
+        filled, refilled = opened & a, blocked & a  # the open and blocked sites of b that a holds
+        back = powers[0].take(np.bitwise_count(filled)) * powers[1].take(np.bitwise_count(opened ^ filled))
+        back *= powers[2].take(np.bitwise_count(refilled)) * powers[3].take(np.bitwise_count(blocked ^ refilled))
+        back = np.where((filled | refilled) == a, back, 0.0).astype(float)  # b forces its other sites to 0
+        same = a == b
+        back[same] = p[run][same]
+        forward, backward = pi.take(orbit.take(a)) * p[run], pi.take(orbit.take(b)) * back
+        gap = np.abs(forward - backward)
         worst = max(worst, float(gap.max()))
-        if worst < slack:
-            flow = np.flatnonzero((a != b) & ((pi[a] * p[at] > 0) | (pi[b] * back > 0)))
-            if len(flow):
-                a_f, b_f = a[flow], b[flow]
-                smallest = min(smallest, int(np.min(np.minimum(a_f, b_f) * ns + np.maximum(a_f, b_f))))
-        if worst < slack / 2:
-            continue  # a gap of this run within its tolerance of a maximum >= slack would exceed slack / 2
-        near = np.flatnonzero(gap >= worst - slack)
-        a, b, ab, ba = a[near], b[near], p[at[near]], back[near]
-        low = np.minimum(a, b) * ns + np.maximum(a, b)
-        tied = gap[near] + np.where(a == b, 0.0, tie * np.maximum(pi[a] * ab, pi[b] * ba))
-        # the candidates ascend by pair, each reaching further than every smaller one
-        # (a pair that a smaller one out-reaches is never the witness), and reach the
-        # maximum so far; a new pair joins only if no smaller candidate out-reaches it
-        fresh = tied > np.concatenate([[-1.0], reach])[np.searchsorted(pairs, low, side="right")]
-        pairs, reach = np.concatenate([pairs, low[fresh]]), np.concatenate([reach, tied[fresh]])
-        order = np.argsort(pairs)
-        pairs, reach = pairs[order], reach[order]
-        keep = (reach >= worst) & (reach > np.maximum.accumulate(np.concatenate([[-1.0], reach[:-1]])))
-        pairs, reach = pairs[keep], reach[keep]
-    a, b = divmod(int(pairs[0]) if worst >= slack else smallest if worst > 0 else 0, ns)
+        reach[run] = np.where(same, 0.0, gap + tie * np.maximum(forward, backward))
+    if worst == 0:
+        return BalanceAudit(max_violation=0.0, witness=(Configuration(0, n), Configuration(0, n)))
+    hit = np.flatnonzero(reach >= worst if worst >= slack else reach > 0)
+    a, b = keys[hit] >> n, keys[hit] & (ns - 1)
+    low = np.minimum(a, matrix.reps[orbit[b]])  # the least state of any rotation of (a, b)
+    a, b = a[low == low.min()], b[low == low.min()]
+    pairs = ((ror(a, t, n), ror(b, t, n)) for t in range(n))
+    a, b = divmod(int(min(np.min(np.minimum(x, y) * ns + np.maximum(x, y)) for x, y in pairs)), ns)
     return BalanceAudit(max_violation=worst, witness=(Configuration(a, n), Configuration(b, n)))
 
 
@@ -379,12 +376,14 @@ def audit_detailed_balance(table: StationaryTable, matrix: TransitionMatrix) -> 
 
 
 def transition_edges(matrix: TransitionMatrix) -> list[tuple[str, str, float]]:
-    """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings."""
+    """All positive-probability edges (alpha, beta, P[alpha->beta]) as strings,
+    every row a rotation of its representative's."""
     n, ns = matrix.params.n, matrix.params.n_states
     names = [Configuration(code, n).to_string() for code in range(ns)]
-    p = matrix.vals.astype(float)
+    keys, vals = _every_row(matrix)
+    p = vals.astype(float)
     live = p > 0  # p2 = 1 stores exact zeros
-    edges = zip(matrix.keys[live].tolist(), p[live].tolist())
+    edges = zip(keys[live].tolist(), p[live].tolist())
     return [(names[key >> n], names[key & (ns - 1)], x) for key, x in edges]
 
 

@@ -504,14 +504,15 @@ class TestConfigAndErrors:
         assert code == 3 and "cap" in err
 
     def test_float_budget_exit(self, capsys):
-        # 3**16 stored entries, refused in bytes before they are allocated
+        # 7712 orbits at n = 17: Q and one product temporary alone take 0.95 GB,
+        # refused in bytes before any per-state array
         code, out, err = run_cli(
-            capsys, "exact", "-n", "16", "-m", "2", "--p1", "0.3", "--p2", "0.5"
+            capsys, "exact", "-n", "17", "-m", "3", "--p1", "0.3", "--p2", "0.5"
         )
         assert (code, out) == (3, "")
         assert re.fullmatch(
-            r"error: n=16, m=2 needs about \d+ bytes, over the budget 1073741824:"
-            r" build \d+ \(43046721 stored entries\), solve \d+, audit \d+\n",
+            r"error: n=17, m=3 needs at least \d+ bytes before any stored entry,"
+            r" over the budget 1073741824\n",
             err,
         )
 

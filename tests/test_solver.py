@@ -2,7 +2,9 @@
 
 import math
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -51,8 +53,10 @@ class TestTransitionRow:
     @given(float_params, st.integers(0, 2**7 - 1))
     @settings(max_examples=50, deadline=None)
     def test_row_matches_per_pair_products(self, params, raw):
-        alpha = raw & (params.n_states - 1)
-        row = build_matrix(params).entries[alpha]
+        # the stored rows are the representatives'; every other row is a rotation of one
+        matrix = build_matrix(params)
+        alpha = int(matrix.reps[raw % len(matrix.reps)])
+        row = matrix.entries[alpha]
         assert row.dtype == np.float64
         for beta in range(params.n_states):
             assert row[beta] == transition_prob(alpha, beta, params)
@@ -153,7 +157,8 @@ def lumped_table(matrix, reduce):
 
 
 def add_at_residual(table, matrix):
-    """Reference residual: one np.add.at over every stored entry in storage order."""
+    """Reference residual over every row of a FullP: one np.add.at over its stored
+    entries in storage order."""
     dtype = object if matrix.exact and isinstance(table.probs[0], Fraction) else float
     pi = np.asarray(table.probs, dtype=dtype)
     inflow = np.zeros(len(pi), dtype=dtype)
@@ -161,6 +166,127 @@ def add_at_residual(table, matrix):
     np.add.at(inflow, cols, matrix.vals.astype(dtype) * pi[rows])
     worst = np.max(np.abs(inflow - pi))
     return worst if dtype is object else float(worst)
+
+
+# ---- The full-P reference: every row of P stored, and each check over all of it ----
+
+
+@dataclass(frozen=True, eq=False)
+class FullP:
+    """Every row's nonzeros, as ascending keys a * 2**n + b and their values."""
+
+    params: ModelParams
+    keys: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def from_dense(cls, params, entries):
+        keys = np.flatnonzero(entries)
+        return cls(params, keys, entries.flat[keys])
+
+    @property
+    def exact(self):
+        return self.params.exact
+
+    @cached_property
+    def entries(self):
+        dense = np.full((self.params.n_states,) * 2, Fraction(0) if self.exact else 0.0, dtype=self.vals.dtype)
+        dense.flat[self.keys] = self.vals
+        return dense
+
+
+def full_build(params):
+    """Reference P: every row a stores the submasks of its vacancy mask, each the
+    product of its site factors in ascending site order, as transition_prob forms it."""
+    dtype, one = (object, Fraction(1)) if params.exact else (float, 1.0)
+    p1, p2, n, ns = params.p1, params.p2, params.n, params.n_states
+    stay, fill = np.array([1 - p1, p2], dtype=dtype), np.array([p1, 1 - p2], dtype=dtype)
+    open_mask, blocked_mask = window_masks(np.arange(ns, dtype=np.int64), params)
+    vacant = ((open_mask | blocked_mask)[:, None] >> np.arange(n)) & 1
+    count = vacant.sum(axis=1)
+    offset = np.zeros(ns + 1, dtype=np.int64)
+    np.cumsum(1 << count, out=offset[1:])
+    keys, vals = np.empty(offset[-1], dtype=np.int64), np.empty(offset[-1], dtype=dtype)
+    for c in range(n + 1):
+        rows = np.flatnonzero(count == c)
+        site = np.nonzero(vacant[rows])[1].reshape(len(rows), c)
+        blocked = (blocked_mask[rows, None] >> site) & 1
+        bit, s, f = 1 << site, stay[blocked], fill[blocked]
+        key = np.full((len(rows), 1 << c), rows[:, None] << n)
+        val = np.full((len(rows), 1 << c), one, dtype=dtype)
+        for t in range(c):
+            low, high = slice(0, 1 << t), slice(1 << t, 2 << t)
+            np.bitwise_or(key[:, low], bit[:, t, None], out=key[:, high])
+            np.multiply(val[:, low], f[:, t, None], out=val[:, high])
+            val[:, low] *= s[:, t, None]
+        at = offset[rows, None] + np.arange(1 << c)
+        keys[at], vals[at] = key, val
+    return FullP(params, keys, vals)
+
+
+def rep_rows(params, entries):
+    """A TransitionMatrix of a dense array's representative rows, the rows the solve
+    and the certificate read."""
+    reps, orbit, sizes = nedpca.solver._orbits(params.n)
+    rows = entries[reps]
+    at = np.flatnonzero(rows)
+    row, b = np.divmod(at, params.n_states)
+    return TransitionMatrix(params, reps[row] << params.n | b, rows.flat[at], reps, orbit, sizes)
+
+
+def full_certificate(full):
+    """Reference certificate: row 0 and column 0 each store 2**n entries."""
+    keys, ns = full.keys, full.params.n_states
+    return bool(np.searchsorted(keys, ns) == np.count_nonzero((keys & (ns - 1)) == 0) == ns)
+
+
+def full_audit(table, full):
+    """Reference audit over every stored pair, in runs of nedpca.solver._BLOCK
+    column-major ranks: P[b->a] is the entry of the same rank where the pattern is
+    symmetric, and is searched for where not; a front of tie candidates ascends by
+    pair, each reaching further than every smaller one. Same witness rule as the
+    package's audit, over all pairs instead of the representatives' rotations."""
+    n, ns, keys = full.params.n, full.params.n_states, full.keys
+    p = np.asarray(full.vals, dtype=float)
+    pi = np.asarray(table.probs, dtype=float)
+    tie = nedpca.solver._TIE_ULPS * np.finfo(float).eps
+    block = nedpca.solver._BLOCK
+    slack = 2 * tie * pi.max() * p.max()
+    by_col = np.argsort((keys & (ns - 1)).astype(np.uint16), kind="stable")
+    worst, smallest = 0.0, ns * ns
+    pairs, reach = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for lo in range(0, len(keys), block):
+        at, run = by_col[lo : lo + block], slice(lo, lo + block)
+        key = keys[at]
+        a, b = key >> n, key & (ns - 1)
+        mirror = b << n | a
+        same = keys[run] == mirror
+        back = np.where(same, p[run], 0.0)
+        if not same.all():
+            miss = np.flatnonzero(~same)
+            found = np.minimum(np.searchsorted(keys, mirror[miss]), len(keys) - 1)
+            back[miss] = np.where(keys[found] == mirror[miss], p[found], 0.0)
+        gap = np.abs(pi[a] * p[at] - pi[b] * back)
+        worst = max(worst, float(gap.max()))
+        if worst < slack:
+            flow = np.flatnonzero((a != b) & ((pi[a] * p[at] > 0) | (pi[b] * back > 0)))
+            if len(flow):
+                a_f, b_f = a[flow], b[flow]
+                smallest = min(smallest, int(np.min(np.minimum(a_f, b_f) * ns + np.maximum(a_f, b_f))))
+        if worst < slack / 2:
+            continue
+        near = np.flatnonzero(gap >= worst - slack)
+        a, b, ab, ba = a[near], b[near], p[at[near]], back[near]
+        low = np.minimum(a, b) * ns + np.maximum(a, b)
+        tied = gap[near] + np.where(a == b, 0.0, tie * np.maximum(pi[a] * ab, pi[b] * ba))
+        fresh = tied > np.concatenate([[-1.0], reach])[np.searchsorted(pairs, low, side="right")]
+        pairs, reach = np.concatenate([pairs, low[fresh]]), np.concatenate([reach, tied[fresh]])
+        order = np.argsort(pairs)
+        pairs, reach = pairs[order], reach[order]
+        keep = (reach >= worst) & (reach > np.maximum.accumulate(np.concatenate([[-1.0], reach[:-1]])))
+        pairs, reach = pairs[keep], reach[keep]
+    a, b = divmod(int(pairs[0]) if worst >= slack else smallest if worst > 0 else 0, ns)
+    return worst, (a, b)
 
 
 BIT_IDENTITY_POINTS = pytest.mark.parametrize(
@@ -184,12 +310,13 @@ class TestBitIdentity:
             if ragged:
                 monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
             params = ModelParams(n, m, p1, p2)
-            entries, reference = build_matrix(params).entries, full_width_build(params)
+            matrix = build_matrix(params)
+            entries, reference = matrix.entries, full_width_build(params)
             assert entries.dtype == reference.dtype
             if params.exact:
-                assert (entries == reference).all(), n
+                assert (entries == reference).all(), n  # Fractions rotate exactly, so every row
             else:
-                assert np.array_equal(entries, reference), n
+                assert np.array_equal(entries[matrix.reps], reference[matrix.reps]), n
 
     @BIT_IDENTITY_POINTS
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -205,12 +332,22 @@ class TestBitIdentity:
     @pytest.mark.parametrize("m", [2, 3, 4])
     @pytest.mark.parametrize("ragged", [False, True], ids=["default", "ragged"])
     def test_residual_equals_add_at_reference(self, monkeypatch, ragged, m, p1, p2, n_hi):
+        # the lumped residual against the full chain's: equal in Fractions. In floats the
+        # two sum in other orders, so a stationary table's reads rounding on both sides,
+        # and the table of p1 / 2, far from stationary, agrees to 1e-12
         for n in range(m, n_hi + 1):
-            matrix = build_matrix(ModelParams(n, m, p1, p2))
+            params = ModelParams(n, m, p1, p2)
+            matrix, full = build_matrix(params), full_build(params)
             table = solve_stationary(matrix)
+            other = StationaryTable(params, stationary_table_formula(ModelParams(n, m, p1 / 2, p2)).probs)
             if ragged:
                 monkeypatch.setattr(nedpca.solver, "_BLOCK", 5 << n)
-            assert balance_residual(table, matrix) == add_at_residual(table, matrix), n
+            if params.exact:
+                assert balance_residual(table, matrix) == add_at_residual(table, full) == 0, n
+                assert balance_residual(other, matrix) == add_at_residual(other, full) > 0, n
+            else:
+                assert max(balance_residual(table, matrix), add_at_residual(table, full)) < 1e-13, n
+                assert balance_residual(other, matrix) == pytest.approx(add_at_residual(other, full), rel=1e-12), n
 
     @pytest.mark.parametrize("width", [1, 5, 7, 16], ids=lambda w: f"panel{w}")
     @pytest.mark.parametrize(
@@ -279,7 +416,8 @@ class TestBitIdentity:
 class TestKeyFormat:
     """The invariant every searchsorted over the stored keys relies on: keys
     a * 2**n + b strictly ascend and lie below 4**n, however the build is
-    blocked, and from_dense stores the same entries in the same order."""
+    blocked, and the dense view's representative rows hold the same entries in
+    the same order."""
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     @pytest.mark.parametrize(
@@ -294,8 +432,8 @@ class TestKeyFormat:
             keys = matrix.keys
             assert keys.dtype == np.int64 and len(keys) == len(matrix.vals), n
             assert keys[0] >= 0 and (np.diff(keys) > 0).all() and keys[-1] < 4**n, n
-            # p2 < 1 stores no exact zero, so from_dense keeps every stored entry
-            dense = TransitionMatrix.from_dense(matrix.params, matrix.entries)
+            # p2 < 1 stores no exact zero, so the dense rows' nonzeros are every stored entry
+            dense = rep_rows(matrix.params, matrix.entries)
             assert np.array_equal(dense.keys, keys), n
             assert dense.vals.dtype == matrix.vals.dtype and (dense.vals == matrix.vals).all(), n
 
@@ -326,16 +464,19 @@ class TestBuildAndSolve:
         assert balance_residual(table, matrix) == 0
 
     def test_float_cap(self):
-        # the byte budget: (16, 2) stores 43M entries, and from n = 17 Q and one product
-        # temporary take 1.0 GB
-        for n, m in [(16, 2), (17, 3), (17, 17)]:
+        # the byte budget: from n = 17 Q and one product temporary take 0.95 GB, at every m
+        for n, m in [(17, 2), (17, 3), (17, 17)]:
             with pytest.raises(BudgetExceeded):
                 build_matrix(ModelParams(n, m, 0.3, 0.5))
 
     def test_float_cap_refuses_before_allocating(self, monkeypatch):
+        # (16, 2) fits the budget; one just above its share that depends on n alone
+        # refuses the representatives' 2774555 stored entries, counted from their masks
         def refuse(*args, **kwargs):
             raise AssertionError("numpy.empty called past the byte budget")
 
+        budget = sum(nedpca.solver._shares(16, 0)) + 1
+        monkeypatch.setattr(nedpca.solver, "BYTE_BUDGET", budget)
         monkeypatch.setattr(np, "empty", refuse)  # keys and vals
         tracemalloc.start()
         try:
@@ -344,12 +485,12 @@ class TestBuildAndSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        build, solve, audit = nedpca.solver._shares(16, 43046721)  # 3**16 stored entries
+        build, solve, audit = nedpca.solver._shares(16, 2774555)
         assert str(info.value) == (
-            f"n=16, m=2 needs about {build + solve + audit} bytes, over the budget {nedpca.solver.BYTE_BUDGET}:"
-            f" build {build} (43046721 stored entries), solve {solve}, audit {audit}"
+            f"n=16, m=2 needs about {build + solve + audit} bytes, over the budget {budget}:"
+            f" build {build} (2774555 stored entries), solve {solve}, audit {audit}"
         )
-        assert peak < 0.05 * 16 * 3**16  # the per-state masks alone
+        assert peak < 0.05 * 16 * 2774555  # the orbits and the representatives' masks alone
 
     @pytest.mark.parametrize("n", [17, 35, 36, 10**5])
     def test_budget_refuses_before_any_per_state_array(self, monkeypatch, n):
@@ -370,11 +511,13 @@ class TestBuildAndSolve:
         )
 
     def test_solve_share_counts_the_rotation_orbits(self):
-        # Q and one product temporary, 8 k**2 each, besides the per-state arrays and one run
+        # Q, one product temporary and the scaled panel rows, 8 k (2k + b), besides the
+        # per-state arrays and one run
         for n in range(1, 13):
             k = len(set(rotation_orbits(n)))
-            per_state = (16 * n + 64) << n
-            assert nedpca.solver._shares(n, 0)[1] == 16 * k * k + per_state + nedpca.solver._RUN_BYTES
+            b = nedpca.solver._width(np.zeros((k, k)))
+            each = (96 << n) + nedpca.solver._RUN_BYTES
+            assert nedpca.solver._shares(n, 0)[1] == 8 * k * (2 * k + b) + each
 
     @pytest.mark.parametrize("m, share", [(2, 0.25), (4, 0.05)])
     def test_build_makes_no_dense_array(self, m, share):
@@ -437,14 +580,18 @@ class TestBuildAndSolve:
 
     @pytest.mark.parametrize("missing", [(0, 5), (0, 0), (6, 0)], ids=["row0", "self-loop", "column0"])
     def test_certificate_refuses_a_missing_edge(self, missing):
-        # the missing edge's mass moves to another stored entry of its row
+        # the missing edge's mass moves to another stored entry of its row, in every
+        # rotation of the row (6 = 0110 is a rotation of the representative 3 = 1100)
         params = ModelParams(4, 2, 0.3, 0.5)
         entries = build_matrix(params).entries.copy()
         row, col = missing
         other = next(b for b in np.flatnonzero(entries[row]) if b != col)
-        entries[row, other] += entries[row, col]
-        entries[row, col] = 0.0
-        assert not check_irreducible_aperiodic(TransitionMatrix.from_dense(params, entries))
+        for t in range(4):
+            a, b, c = (ror(x, t, 4) for x in (row, col, other))
+            entries[a, c] += entries[a, b]
+            entries[a, b] = 0.0
+        assert not check_irreducible_aperiodic(rep_rows(params, entries))
+        assert not full_certificate(FullP.from_dense(params, entries))
 
 
 def dense_lu_table(matrix):
@@ -467,9 +614,10 @@ class TestRotationLumping:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_exact_matrix_is_strongly_lumpable(self, n):
+        # the premise of storing only the representatives' rows, on every row built alone
         orbit = rotation_orbits(n)
         for m in range(2, n + 1):
-            entries = build_matrix(ModelParams(n, m, Fraction(1, 3), Fraction(1, 2))).entries
+            entries = full_width_build(ModelParams(n, m, Fraction(1, 3), Fraction(1, 2)))
             sums_by_orbit = {}
             for a in range(1 << n):
                 sums = {}
@@ -520,7 +668,7 @@ class TestRotationLumping:
             params = ModelParams(4, 2, 0.3, 0.5)
             eye = np.eye(16)
         with pytest.raises(SolveFailed):
-            solve_stationary(TransitionMatrix.from_dense(params, eye))
+            solve_stationary(rep_rows(params, eye))
 
     @pytest.mark.parametrize(
         "n, m, p1, p2",
@@ -576,7 +724,7 @@ class TestRotationLumping:
         entries[sevens + [255], 1] = 1.0
         entries[0, sevens], entries[0, 255] = 1.25e307, 1e308
         with pytest.raises(SolveFailed, match=r"overflows a float at .*n=8, m=2, p1=0\.3, p2=0\.5") as failed:
-            solve_stationary(TransitionMatrix.from_dense(params, entries))
+            solve_stationary(rep_rows(params, entries))
         assert str(failed.value.__context__) == "overflow encountered in matmul"
 
     @pytest.mark.parametrize(
@@ -599,7 +747,7 @@ class TestRotationLumping:
                 entries[a] = zero
                 entries[a, a] = one
         with pytest.raises(SolveFailed, match=rf"orbit {dead} never reaches orbits 0\.\.{dead - 1}$"):
-            solve_stationary(TransitionMatrix.from_dense(params, entries))
+            solve_stationary(rep_rows(params, entries))
 
 
 def dense_audit(table, matrix):
@@ -634,26 +782,44 @@ def mixed_blocks(matrix, block):
 
 
 def one_directional_matrix(n):
-    """The m = 2 matrix at (0.3, 0.5) with P[a->b] dropped at each stored a < b
+    """The full m = 2 reference at (0.3, 0.5) with P[a->b] dropped at each stored a < b
     with 5 | a + b, so P[b->a] has no stored mirror; and the table of the full one."""
-    matrix = build_matrix(ModelParams(n, 2, 0.3, 0.5))
-    entries = matrix.entries.copy()
+    params = ModelParams(n, 2, 0.3, 0.5)
+    entries = full_build(params).entries
     a, b = np.nonzero(np.triu(entries, 1))
     drop = (a + b) % 5 == 0
     entries[a[drop], b[drop]] = 0.0
-    return TransitionMatrix.from_dense(matrix.params, entries), solve_stationary(matrix)
+    return FullP.from_dense(params, entries), solve_stationary(build_matrix(params))
 
 
 def flipped_matrix(n):
-    """The m = 3 matrix relabelled a -> 2**n - 1 - a, through from_dense, and its table."""
-    matrix = build_matrix(ModelParams(n, 3, 0.3, 0.5))
-    flipped = TransitionMatrix.from_dense(matrix.params, matrix.entries[::-1, ::-1].copy())
-    return flipped, StationaryTable(matrix.params, solve_stationary(matrix).probs[::-1])
+    """The full m = 3 reference relabelled a -> 2**n - 1 - a, and its table."""
+    params = ModelParams(n, 3, 0.3, 0.5)
+    flipped = FullP.from_dense(params, full_build(params).entries[::-1, ::-1].copy())
+    return flipped, StationaryTable(params, solve_stationary(build_matrix(params)).probs[::-1])
 
 
 def built_matrix(n, m):
-    matrix = build_matrix(ModelParams(n, m, 0.3, 0.5))
-    return matrix, solve_stationary(matrix)
+    params = ModelParams(n, m, 0.3, 0.5)
+    return full_build(params), solve_stationary(build_matrix(params))
+
+
+def audit_slack(table, full):
+    """Twice the largest tie tolerance of any pair: the rounding a maximum may carry."""
+    tie = nedpca.solver._TIE_ULPS * np.finfo(float).eps
+    return 2 * tie * max(map(float, table.probs)) * float(full.vals.max())
+
+
+def assert_audit_matches(table, matrix, full, dense=True):
+    """The package's audit against the full-P reference: the same witness, and a
+    maximum within the slack, since the reference also forms the gaps of each pair's
+    rotations, which round apart; the reference itself is the dense fold's."""
+    audit = audit_detailed_balance(table, matrix)
+    worst, witness = full_audit(table, full)
+    if dense:
+        assert (worst, witness) == dense_audit(table, full)
+    assert audit_key(audit)[1] == witness
+    assert abs(audit.max_violation - worst) <= audit_slack(table, full)
 
 
 class TestBalanceAudits:
@@ -691,27 +857,24 @@ class TestBalanceAudits:
     )
     def test_block_fold_equals_dense_fold(self, m, p1, p2, n_hi):
         for n in range(m, n_hi + 1):
-            matrix = build_matrix(ModelParams(n, m, p1, p2))
-            for source, table in (
-                ("solver", solve_stationary(matrix)),
-                ("formula", stationary_table_formula(matrix.params)),
-            ):
-                assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(
-                    table, matrix
-                ), (n, source)
+            params = ModelParams(n, m, p1, p2)
+            matrix, full = build_matrix(params), full_build(params)
+            for table in (solve_stationary(matrix), stationary_table_formula(params)):
+                assert_audit_matches(table, matrix, full)
 
     @pytest.mark.parametrize("n", [5, 8])
     @pytest.mark.parametrize("m, p1, p2", [(3, 0.3, 0.5), (2, 0.3, 0.7)])
     def test_ragged_blocks_of_three_rows(self, monkeypatch, n, m, p1, p2):
-        monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n)  # runs of 3 * 2**n column-major ranks
-        matrix = build_matrix(ModelParams(n, m, p1, p2))
-        table = solve_stationary(matrix)
-        assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(table, matrix)
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 3 << n)  # runs of 3 * 2**n stored entries or ranks
+        params = ModelParams(n, m, p1, p2)
+        matrix = build_matrix(params)
+        assert_audit_matches(solve_stationary(matrix), matrix, full_build(params))
 
     @pytest.mark.parametrize("block", [nedpca.solver._BLOCK, 4, 8, 12], ids=lambda b: f"rows{max(1, b // 4)}")
     def test_tied_maximum_keeps_the_dense_witness(self, monkeypatch, block):
         # uniform pi, so the gap is |P[a, b] - P[b, a]| / 4, exact in binary; it
-        # peaks at 1/8 on the unordered pairs {1, 3} and {2, 3}, off row 0
+        # peaks at 1/8 on the unordered pairs {1, 3} and {2, 3}, off row 0. The
+        # package reads P[b->a] from the model, so this hand-built P is the reference's
         monkeypatch.setattr(nedpca.solver, "_BLOCK", block)  # 4 or 8 split the 9 stored entries
         params = ModelParams(2, 2, 0.3, 0.5)
         entries = np.array(
@@ -722,12 +885,12 @@ class TestBalanceAudits:
                 [0.25, 0.0, 0.0, 0.75],
             ]
         )
-        matrix = TransitionMatrix.from_dense(params, entries)
+        matrix = FullP.from_dense(params, entries)
         table = StationaryTable(params, (0.25,) * 4)
         gap = np.abs(0.25 * entries - 0.25 * entries.T)
         assert np.count_nonzero(np.triu(gap) == gap.max()) == 2
         assert dense_audit(table, matrix) == (0.125, (1, 3))
-        assert audit_key(audit_detailed_balance(table, matrix)) == (0.125, (1, 3))
+        assert full_audit(table, matrix) == (0.125, (1, 3))
 
     @pytest.mark.parametrize("n", [5, 8])
     def test_witness_in_a_late_ragged_block(self, monkeypatch, n):
@@ -735,12 +898,8 @@ class TestBalanceAudits:
         # runs of 24 column-major ranks, cut inside columns; the witness is first
         # reached in run 1 of 6 (n = 5) and run 24 of 92 (n = 8), counting from 0
         monkeypatch.setattr(nedpca.solver, "_BLOCK", 24)
-        params = ModelParams(n, 3, 0.3, 0.5)
-        matrix = build_matrix(params)
-        probs = solve_stationary(matrix).probs[::-1]
-        flipped = TransitionMatrix.from_dense(params, matrix.entries[::-1, ::-1].copy())
-        table = StationaryTable(params, probs)
-        audit = audit_key(audit_detailed_balance(table, flipped))
+        flipped, table = flipped_matrix(n)
+        audit = full_audit(table, flipped)
         assert audit == dense_audit(table, flipped)
         row = audit[1][0]
         assert row > 6 and row % 6 != 0, row
@@ -757,11 +916,11 @@ class TestBalanceAudits:
         ids=["m3", "m4", "flipped-m3", "one-directional"],
     )
     def test_rank_and_searched_mirrors_share_a_block(self, monkeypatch, make, block):
-        # the cuts fall inside columns, and some block reads mirrors both ways
+        # the reference's cuts fall inside columns, and some block reads mirrors both ways
         matrix, table = make()
         assert mixed_blocks(matrix, block) > 0
         monkeypatch.setattr(nedpca.solver, "_BLOCK", block)
-        assert audit_key(audit_detailed_balance(table, matrix)) == dense_audit(table, matrix)
+        assert full_audit(table, matrix) == dense_audit(table, matrix)
 
     @pytest.mark.parametrize(
         "params, witness",
@@ -796,7 +955,7 @@ class TestBalanceAudits:
         # p1 + p2 = 1 at m = 2 is reversible: every gap is rounding, under the tie slack,
         # and the witness is 0^n -> 0^(n-1)1, the smallest pair with a flow, for every table
         params = ModelParams(n, 2, 0.3, 0.7)
-        matrix = build_matrix(params)
+        matrix, full = build_matrix(params), full_build(params)
         tables = [
             solve_stationary(matrix),
             lumped_table(matrix, unblocked_reduce),
@@ -808,27 +967,27 @@ class TestBalanceAudits:
         for table in tables:
             audit = audit_detailed_balance(table, matrix)
             assert audit.max_violation < 1e-16
-            assert audit_key(audit) == dense_audit(table, matrix)
+            assert_audit_matches(table, matrix, full, dense=n < 12)
             assert audit_key(audit)[1] == (0, 1)
 
     @pytest.mark.parametrize("block", [24, nedpca.solver._BLOCK])
     def test_late_violation_after_rounding_only_runs(self, monkeypatch, block):
-        # a reversible matrix with one late pair's backward entry halved: the runs before
-        # it hold rounding alone, below half the slack, and take no tie candidates
+        # a reversible matrix with one late pair's backward entry halved: the reference's
+        # runs before it hold rounding alone, below half the slack, and take no tie candidates
         monkeypatch.setattr(nedpca.solver, "_BLOCK", block)
         params = ModelParams(8, 2, 0.3, 0.7)
-        matrix = build_matrix(params)
-        table = solve_stationary(matrix)
-        entries = matrix.entries.copy()
+        table = solve_stationary(build_matrix(params))
+        entries = full_build(params).entries
         a, b = np.argwhere(np.triu((entries > 0) & (entries.T > 0), 1))[-1]  # the last such pair, a < b
         entries[b, a] /= 2
-        broken = TransitionMatrix.from_dense(params, entries)
-        audit = audit_key(audit_detailed_balance(table, broken))
+        broken = FullP.from_dense(params, entries)
+        audit = full_audit(table, broken)
         assert audit == dense_audit(table, broken)
         assert audit[0] > 1e-6 and audit[1] == (a, b)
 
-    def test_audit_peak_is_near_the_stored_entries(self):
-        # the densest pattern, 3**12 entries, symmetric: every mirror is read by rank
+    def test_audit_peak_is_near_the_stored_entries(self, monkeypatch):
+        # the densest pattern: one gap per stored entry, and one run's temporaries at a time
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 1 << 12)
         matrix = build_matrix(ModelParams(12, 2, 0.3, 0.5))
         table = solve_stationary(matrix)
         tracemalloc.start()
@@ -839,8 +998,10 @@ class TestBalanceAudits:
             tracemalloc.stop()
         assert peak <= 2.1 * (matrix.keys.nbytes + matrix.vals.nbytes)
 
-    def test_residual_holds_no_per_entry_array(self):
-        # 3**13 stored entries in 13 flat runs: only one run's temporaries are ever live
+    def test_residual_holds_no_per_entry_array(self, monkeypatch):
+        # the representatives' 130203 entries at (13, 2) in 32 flat runs: only one run's
+        # temporaries are ever live
+        monkeypatch.setattr(nedpca.solver, "_BLOCK", 1 << 12)
         matrix = build_matrix(ModelParams(13, 2, 0.3, 0.5))
         table = solve_stationary(matrix)
         tracemalloc.start()
@@ -867,6 +1028,48 @@ class TestBalanceAudits:
         table = solve_stationary(build_matrix(ModelParams(5, 2, 0.3, 0.5)))
         with pytest.raises(DimensionMismatch):
             balance_residual(table, matrix)
+
+    @pytest.mark.parametrize("p1, p2", [(0.3, 0.5), (Fraction(1, 3), Fraction(1, 2))], ids=["float", "exact"])
+    def test_table_not_constant_on_orbits_is_refused(self, p1, p2):
+        # states 1 = 100000 and 3 = 110000 swap their masses, so neither orbit is constant:
+        # the lumped checks read each orbit once and would answer for another table
+        params = ModelParams(6, 3, p1, p2)
+        matrix = build_matrix(params)
+        probs = list(solve_stationary(matrix).probs)
+        probs[1], probs[3] = probs[3], probs[1]
+        swapped = StationaryTable(params, tuple(probs))
+        for check in (balance_residual, audit_detailed_balance):
+            with pytest.raises(DimensionMismatch, match=rf"not constant on rotation orbits at .*n=6, m=3"):
+                check(swapped, matrix)
+
+
+class TestFullReference:
+    """The certificate, the residual and the audit, which read only the
+    representatives' rows, against the same checks on every row of P."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "p1, p2, n_hi",
+        [(0.3, 0.5, 10), (0.3, 0.7, 10), (0.9, 0.2, 10), (Fraction(1, 3), Fraction(1, 2), 9)],
+        ids=["float-0.3-0.5", "balanced-0.3-0.7", "float-0.9-0.2", "exact"],
+    )
+    def test_checks_equal_the_full_reference(self, m, p1, p2, n_hi):
+        # the residual of a stationary table is rounding on both sides in floats, so the
+        # table of p1 / 2, far from stationary, is compared too
+        for n in range(m, n_hi + 1):
+            params = ModelParams(n, m, p1, p2)
+            matrix, full = build_matrix(params), full_build(params)
+            assert check_irreducible_aperiodic(matrix) is full_certificate(full) is True, n
+            other = StationaryTable(params, stationary_table_formula(ModelParams(n, m, p1 / 2, p2)).probs)
+            for table in (solve_stationary(matrix), stationary_table_formula(params), other):
+                residual, reference = balance_residual(table, matrix), add_at_residual(table, full)
+                if params.exact:
+                    assert residual == reference, n
+                elif table is other:
+                    assert residual == pytest.approx(reference, rel=1e-12), n
+                else:
+                    assert max(residual, reference) < 1e-13, n
+                assert_audit_matches(table, matrix, full, dense=False)
 
 
 class TestStructureHelpers:
